@@ -61,16 +61,14 @@ func makeCNNBatches(seed int64) [][]float64 {
 
 func runCNN(cfg runConfig, tr *tracer) (*phaseResult, error) {
 	batches := makeCNNBatches(cfg.seed)
-	var setups []float64
 	var g *core.Graph
 	var p *core.Pipeline
-	for !setupDone(cfg, setups) {
-		t0 := time.Now()
-		var err error
-		if g, p, err = buildCNN(); err != nil {
-			return nil, fmt.Errorf("build pipeline: %w", err)
-		}
-		setups = append(setups, time.Since(t0).Seconds())
+	setupS, err := calibratedSetup(func(b []float64) bool { return setupDone(cfg, b) }, func() (err error) {
+		g, p, err = buildCNN()
+		return err
+	}, nil)
+	if err != nil {
+		return nil, fmt.Errorf("build pipeline: %w", err)
 	}
 	// Warm-up: one pass compiles every bank before anything is timed.
 	if _, err := p.ForwardBatchPipelined(nil, batches[0], cnnBatch); err != nil {
@@ -81,10 +79,11 @@ func runCNN(cfg runConfig, tr *tracer) (*phaseResult, error) {
 	led0, banks0, g0 := readLedger(g), readBanks(g), readGoCounters()
 	heap := startHeapSampler()
 	outs := make([][]float64, cnnBatches) // last output per distinct batch
-	var took, seq, ends []time.Duration
+	var took, seq, cals []time.Duration
 	occ := make([]float64, cnnStages)
 	var seqBuf []float64
 	total := time.Duration(cfg.seconds * float64(time.Second))
+	cpu0 := processCPU()
 	start := time.Now()
 	for i := 0; time.Since(start) < total || i < minCalls(cfg); i++ {
 		k := i % cnnBatches
@@ -92,11 +91,11 @@ func runCNN(cfg runConfig, tr *tracer) (*phaseResult, error) {
 		_, end := tr.begin("pipeline.batch", step, int64(i))
 		out, err := p.ForwardBatchPipelined(outs[k], batches[k], cnnBatch)
 		took = append(took, end())
-		ends = append(ends, time.Since(start))
 		if err != nil {
 			return nil, fmt.Errorf("pipelined batch %d: %w", i, err)
 		}
 		outs[k] = out
+		cals = append(cals, calibrate())
 		if tr != nil {
 			for s, o := range p.StageOccupancy() {
 				occ[s] += o
@@ -112,6 +111,7 @@ func runCNN(cfg runConfig, tr *tracer) (*phaseResult, error) {
 		endStep()
 	}
 	elapsed := time.Since(start)
+	cpu := processCPU() - cpu0
 	heapMB := heap.finish()
 	led1, banks1, g1 := readLedger(g), readBanks(g), readGoCounters()
 	calls := len(took)
@@ -134,15 +134,10 @@ func runCNN(cfg runConfig, tr *tracer) (*phaseResult, error) {
 	sorted := sortedCopy(took)
 	var led ledgerDelta
 	led.add(led0, led1)
-	res.e2e["setup_s"] = medianFloat(setups)
-	res.e2e["p50_ms"] = ms(windowedPercentile(took, 50), 0)
-	res.e2e["p90_ms"] = ms(windowedPercentile(took, 90), 0)
-	res.e2e["samples_per_s"] = windowedRate(ends, cnnBatch, elapsed)
-	res.e2e["peak_heap_mb"] = heapMB
-	res.e2e["sim_energy_nj_per_sample"] = led.totalJ() * 1e9 / float64(samples)
+	closedLoopMetrics(res, closedLoop{setupS: setupS, took: took, cals: cals,
+		per: cnnBatch, cpu: cpu, heapMB: heapMB, energyJ: led.totalJ()})
 
 	vs := res.layer
-	vs["p99_ms"] = ms(windowedPercentile(took, 99), 0)
 	vs["pipeline.batch_ms"] = ms(percentile(sorted, 50), 0)
 	if len(seq) > 0 {
 		vs["pipeline.vs_sequential"] = ms(percentile(sortedCopy(seq), 50), 0) / vs["pipeline.batch_ms"]

@@ -30,8 +30,8 @@ type runConfig struct {
 }
 
 // setupDone reports whether a run has built its deployment or model often
-// enough: at least three times and for at least half a second in total, so
-// cheap builds repeat more and their median stays steady (at most 100
+// enough: at least five times and for at least a second in total, so
+// cheap builds repeat more and their median stays steady (at most 300
 // builds; smoke runs build once). setup_s is the median build time and the
 // last build is the one measured.
 func setupDone(cfg runConfig, builds []float64) bool {
@@ -42,7 +42,7 @@ func setupDone(cfg runConfig, builds []float64) bool {
 	for _, b := range builds {
 		total += b
 	}
-	return len(builds) >= 100 || (len(builds) >= 3 && total >= 0.5)
+	return len(builds) >= 300 || (len(builds) >= 5 && total >= 1)
 }
 
 // phaseResult is what one workload run produced.
@@ -175,9 +175,11 @@ func measure(w workload, cfg runConfig, traced bool, out string) (*phaseResult, 
 	if res.gate != nil {
 		return res, nil
 	}
-	// The per-layer p99 is a latency, so it comes from the untraced half.
-	res.layer["p99_ms"] = plain.layer["p99_ms"]
-	res.layer["trace.overhead_p50_ms"] = res.e2e["p50_ms"] - plain.e2e["p50_ms"]
+	// The per-layer latencies come from the untraced half.
+	res.layer["trace.overhead_p50_ms"] = res.layer["p50_ms"] - plain.layer["p50_ms"]
+	for _, name := range []string{"p50_ms", "p90_ms", "p99_ms", "host.speed"} {
+		res.layer[name] = plain.layer[name]
+	}
 	if base := plain.e2e["samples_per_s"]; base > 0 {
 		res.layer["trace.overhead_samples_per_s_pct"] = (base - res.e2e["samples_per_s"]) / base * 100
 	}

@@ -18,6 +18,9 @@ const (
 	callers   = 64    // closed-loop clients of the throughput phase
 	satRate   = 8000  // nominal requests/s that size the throughput phase
 	checkTick = 125 * time.Millisecond
+	// calibTick is how often the reference kernel runs beside the
+	// fixed-rate phase (about 1% of one CPU).
+	calibTick = 20 * time.Millisecond
 )
 
 // ladder is the ascending rates probed for serve.max_rate_rps.
@@ -44,18 +47,13 @@ type repState struct {
 
 func runServing(cfg runConfig, tr *tracer, churn bool) (*phaseResult, error) {
 	digitsPool, widePool := makePools(cfg.seed)
-	var setups []float64
 	var d *deployment
-	for !setupDone(cfg, setups) {
-		if d != nil {
-			d.shutdown()
-		}
-		t0 := time.Now()
-		var err error
-		if d, err = buildDeployment(cfg.seed, digitsPool, widePool, churn, tr); err != nil {
-			return nil, fmt.Errorf("build deployment: %w", err)
-		}
-		setups = append(setups, time.Since(t0).Seconds())
+	setupS, err := calibratedSetup(func(b []float64) bool { return setupDone(cfg, b) }, func() (err error) {
+		d, err = buildDeployment(cfg.seed, digitsPool, widePool, churn, tr)
+		return err
+	}, func() { d.shutdown() })
+	if err != nil {
+		return nil, fmt.Errorf("build deployment: %w", err)
 	}
 	defer d.shutdown()
 	for _, rep := range d.allReplicas() {
@@ -84,9 +82,14 @@ func runServing(cfg runConfig, tr *tracer, churn bool) (*phaseResult, error) {
 	start := time.Now()
 	fixedDur := time.Duration(fixedShare * float64(total))
 	var fixed rung
-	if err := ch.during(checkTick, func() {
+	cal := startCalibSampler(calibTick)
+	cpu0 := processCPU()
+	err = ch.during(checkTick, func() {
 		fixed = summarize(fixedRate, d.openLoop(fixedRate, fixedDur, rng), fixedDur)
-	}); err != nil {
+	})
+	fixedCPU := processCPU() - cpu0
+	cals := cal.finish()
+	if err != nil {
 		return nil, fmt.Errorf("churn: %w", err)
 	}
 	if !cfg.smoke && !supports(fixed.n, 99) {
@@ -150,17 +153,19 @@ func runServing(cfg runConfig, tr *tracer, churn bool) (*phaseResult, error) {
 		return res, nil
 	}
 
-	res.e2e["setup_s"] = medianFloat(setups)
-	res.e2e["p50_ms"] = ms(fixed.p50, fixedDur)
-	res.e2e["p90_ms"] = ms(fixed.p90, fixedDur)
+	res.e2e["setup_s"] = setupS
 	res.e2e["samples_per_s"] = fixed.goodput
+	res.e2e["cpu_us_per_sample"] = cpuPerSample(fixedCPU, cals, fixed.n)
 	res.e2e["peak_heap_mb"] = heapMB
 	if samples > 0 {
 		res.e2e["sim_energy_nj_per_sample"] = led.totalJ() * 1e9 / float64(samples)
 	}
 
 	vs := res.layer
+	vs["p50_ms"] = ms(fixed.p50, fixedDur)
+	vs["p90_ms"] = ms(fixed.p90, fixedDur)
 	vs["p99_ms"] = ms(fixed.p99, fixedDur)
+	vs["host.speed"] = speed(cals)
 	vs["fail_ratio"] = float64(res.failed) / float64(fixed.n+served+satFailed)
 	vs["serve.max_rate_rps"] = servingRule.maxRate(append([]rung{fixed}, rungs...))
 	vs["serve.saturated_rps"] = saturated
@@ -189,6 +194,8 @@ func runServing(cfg runConfig, tr *tracer, churn bool) (*phaseResult, error) {
 		tracedServingLayer(vs, d, wall)
 	}
 
+	res.info = append(res.info, fmt.Sprintf("fixed-rate cost: %.1f us CPU per request raw, host speed %.3f; batch size mean %.2f, largest replica share %.2f",
+		us(fixedCPU-sum(cals))/float64(max(fixed.n, 1)), speed(cals), vs["batcher.batch_size_mean"], vs["router.replica_share_max"]))
 	res.info = append(res.info, fmt.Sprintf("samples: fixed-rate %d requests at %.0f/s over %v (highest supported tail p%.1f); throughput phase %d served by %d callers in %d rounds, median round %.0f/s",
 		fixed.n, fixed.rate, fixedDur, fixed.tail, served, callers, satRounds, saturated))
 	for _, r := range append([]rung{fixed}, rungs...) {

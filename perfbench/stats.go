@@ -245,27 +245,23 @@ func (lr ladderRule) maxRate(rungs []rung) float64 {
 	return best
 }
 
-// rateWindows is how many equal time windows a closed loop's throughput
-// is cut into; samples_per_s is the median window's rate.
+// rateWindows is how many windows of consecutive calls a closed loop's
+// throughput is cut into; samples_per_s is the median window's rate.
 const rateWindows = 20
 
-// windowedRate cuts [0, total) into rateWindows equal windows and returns
-// the median over windows of the samples completed in each, per second. A
-// call completing at ends[i] (relative to the loop's start) did `per`
-// samples. A burst of CPU steal or a collection then moves one window's
-// rate, not the reported one.
-func windowedRate(ends []time.Duration, per int, total time.Duration) float64 {
-	counts := make([]float64, rateWindows)
-	width := total / rateWindows
-	for _, e := range ends {
-		w := int(e / width)
-		if w >= rateWindows {
-			w = rateWindows - 1
-		}
-		counts[w] += float64(per)
+// adjustedRate cuts a closed loop's calls (in call order, took[i] the
+// call's time and cals[i] the kernel run right after it) into rateWindows
+// windows and returns the median over windows of the samples per second
+// of call time, each window at the reference speed its own kernel runs
+// measured. A collection, a burst of CPU steal or a slow spell of the
+// host then moves the windows it overlaps, not the reported rate; the
+// kernel's own time is not call time.
+func adjustedRate(took, cals []time.Duration, per int) float64 {
+	k := min(rateWindows, len(took))
+	rates := make([]float64, k)
+	for w := range rates {
+		lo, hi := w*len(took)/k, (w+1)*len(took)/k
+		rates[w] = float64(per*(hi-lo)) / sum(took[lo:hi]).Seconds() / speed(cals[lo:hi])
 	}
-	for i := range counts {
-		counts[i] /= width.Seconds()
-	}
-	return medianFloat(counts)
+	return medianFloat(rates)
 }

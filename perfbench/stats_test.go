@@ -182,18 +182,27 @@ func TestWindowedMediansIgnoreOneStall(t *testing.T) {
 		t.Fatal("under two windows must fall back to the plain percentile")
 	}
 
-	// Ten calls of 4 samples per 50ms window, except a stalled window with one.
-	var ends []time.Duration
+	// Forty 4-sample calls of 5ms per window at the reference speed, except
+	// a stalled window whose calls take 50ms, and a window on a host at
+	// half speed whose calls take 10ms and whose kernel runs twice as long.
+	var took, cals []time.Duration
 	for w := 0; w < rateWindows; w++ {
-		n := 10
-		if w == 3 {
-			n = 1
+		call, cal := 5*time.Millisecond, calibRef
+		switch w {
+		case 3:
+			call = 50 * time.Millisecond
+		case 7:
+			call, cal = 10*time.Millisecond, 2*calibRef
 		}
-		for i := 0; i < n; i++ {
-			ends = append(ends, time.Duration(w)*50*time.Millisecond+time.Duration(i+1)*4*time.Millisecond)
+		for i := 0; i < 40; i++ {
+			took = append(took, call)
+			cals = append(cals, cal)
 		}
 	}
-	if got := windowedRate(ends, 4, time.Second); got != 800 {
-		t.Fatalf("windowed rate %v, want 800 samples/s", got)
+	if got := adjustedRate(took, cals, 4); got != 800 {
+		t.Fatalf("adjusted rate %v, want 800 samples/s", got)
+	}
+	if got := adjustedRate(took[7*40:8*40], cals[7*40:8*40], 4); got != 800 {
+		t.Fatalf("half-speed window adjusted to %v samples/s, want 800", got)
 	}
 }

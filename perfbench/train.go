@@ -93,25 +93,24 @@ func (b *batcher) next() ([]float64, []int) {
 
 func runTrain(cfg runConfig, tr *tracer) (*phaseResult, error) {
 	data := makeTrainData(cfg.seed)
-	var setups []float64
 	var g *core.Graph
-	for !setupDone(cfg, setups) {
-		t0 := time.Now()
-		var err error
-		if g, err = buildTrainNet(cfg.seed); err != nil {
-			return nil, fmt.Errorf("build network: %w", err)
-		}
-		setups = append(setups, time.Since(t0).Seconds())
+	setupS, err := calibratedSetup(func(b []float64) bool { return setupDone(cfg, b) }, func() (err error) {
+		g, err = buildTrainNet(cfg.seed)
+		return err
+	}, nil)
+	if err != nil {
+		return nil, fmt.Errorf("build network: %w", err)
 	}
 	bt := newBatcher(data, cfg.seed+17)
 
 	runtime.GC() // start every run from the same collected heap
 	led0, banks0, g0 := readLedger(g), readBanks(g), readGoCounters()
 	heap := startHeapSampler()
-	var took, fwd, ends []time.Duration
+	var took, fwd, cals []time.Duration
 	var losses []float64
 	var fwdBuf []float64
 	total := time.Duration(cfg.seconds * float64(time.Second))
+	cpu0 := processCPU()
 	start := time.Now()
 	// At least one epoch runs, so the accuracy gate judges a trained network
 	// even on a short run.
@@ -133,13 +132,14 @@ func runTrain(cfg runConfig, tr *tracer) (*phaseResult, error) {
 		loss, err := g.TrainBatch(xs, ys)
 		took = append(took, end())
 		endStep()
-		ends = append(ends, time.Since(start))
 		if err != nil {
 			return nil, fmt.Errorf("train step %d: %w", len(took), err)
 		}
 		losses = append(losses, loss)
+		cals = append(cals, calibrate())
 	}
 	elapsed := time.Since(start)
+	cpu := processCPU() - cpu0
 	heapMB := heap.finish()
 	led1, banks1, g1 := readLedger(g), readBanks(g), readGoCounters()
 	steps := len(took)
@@ -156,15 +156,10 @@ func runTrain(cfg runConfig, tr *tracer) (*phaseResult, error) {
 	sorted := sortedCopy(took)
 	var led ledgerDelta
 	led.add(led0, led1)
-	res.e2e["setup_s"] = medianFloat(setups)
-	res.e2e["p50_ms"] = ms(windowedPercentile(took, 50), 0)
-	res.e2e["p90_ms"] = ms(windowedPercentile(took, 90), 0)
-	res.e2e["samples_per_s"] = windowedRate(ends, trainBatch, elapsed)
-	res.e2e["peak_heap_mb"] = heapMB
-	res.e2e["sim_energy_nj_per_sample"] = led.totalJ() * 1e9 / float64(samples)
+	closedLoopMetrics(res, closedLoop{setupS: setupS, took: took, cals: cals,
+		per: trainBatch, cpu: cpu, heapMB: heapMB, energyJ: led.totalJ()})
 
 	vs := res.layer
-	vs["p99_ms"] = ms(windowedPercentile(took, 99), 0)
 	vs["train.holdout_accuracy"] = acc
 	vs["graph.train_batch_ms"] = ms(percentile(sorted, 50), 0)
 	if len(fwd) > 0 {
