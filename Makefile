@@ -30,11 +30,14 @@ tier2:
 # routed 2-models×2-replicas soak — which drains each replica under live
 # traffic and replays every per-replica op journal for bit-identity) also
 # runs under -race here — its correctness claims are concurrency claims.
+# The last fuzz run feeds arbitrary bytes to the state decoder
+# (core.LoadNetwork), the trust boundary deployed weights arrive through.
 tier2-reliability:
 	$(GO) test -race -run 'Campaign|Wear|Fault|BIST|Scheduler|Drift|Batch|Golden|Graph|Recompile|Dirty|Stale|NoOp|ParallelBitIdentical' ./internal/reliability/ ./internal/core/ ./internal/mrr/ ./internal/pcm/
 	$(GO) test -race -count=2 ./internal/serve/
 	$(GO) test -run '^$$' -fuzz '^FuzzActivationCell$$' -fuzztime 10s ./internal/pcm/
 	$(GO) test -run '^$$' -fuzz '^FuzzCellProgram$$' -fuzztime 10s ./internal/pcm/
+	$(GO) test -run '^$$' -fuzz '^FuzzLoadNetwork$$' -fuzztime 10s ./internal/core/
 
 # Benchmark trajectory: the kernel/batch/recompilation microbenchmarks, the
 # training pair, the two regenerating-table benchmarks, the serving

@@ -271,9 +271,10 @@ func trainBenchNet(b *testing.B) *core.Network {
 	return net
 }
 
-// BenchmarkTrainStep times trainBenchBatch sequential TrainSample steps per
-// op on the 256×256 layer — the per-sample schedule in which every step
-// pays forward, backward AND the post-update bank reprogram. The reference
+// BenchmarkTrainStep times trainBenchBatch sequential TrainSample steps
+// (each a TrainBatch of one) per op on the 256×256 layer — the per-sample
+// schedule in which every step pays forward, backward AND the post-update
+// bank reprogram. The reference
 // side of the ≥2× batched-training gate.
 func BenchmarkTrainStep(b *testing.B) {
 	b.Run("256x256", func(b *testing.B) {
@@ -514,8 +515,8 @@ func benchInput(size int, seed int64) []float64 {
 	return x
 }
 
-// BenchmarkBankMVM times the production bank path (the compiled-snapshot
-// GEMV on the default build).
+// BenchmarkBankMVM times the production bank path, MVM, which serves every
+// pass from the compiled-snapshot GEMV.
 func BenchmarkBankMVM(b *testing.B) {
 	for _, size := range bankSizes {
 		b.Run(fmt.Sprintf("%dx%d", size, size), func(b *testing.B) {
@@ -532,9 +533,9 @@ func BenchmarkBankMVM(b *testing.B) {
 	}
 }
 
-// BenchmarkBankMVMCompiled times the compiled-snapshot GEMV kernel
-// explicitly (independent of build tags), so the trajectory records it even
-// under -tags=slowmvm.
+// BenchmarkBankMVMCompiled times the compiled-snapshot GEMV kernel through
+// its exported entry point, without MVM's argument handling, so the
+// trajectory records the kernel on its own.
 func BenchmarkBankMVMCompiled(b *testing.B) {
 	for _, size := range bankSizes {
 		b.Run(fmt.Sprintf("%dx%d", size, size), func(b *testing.B) {

@@ -10,10 +10,10 @@ import (
 // layers, each with its kernel matrix resident in PCM-MRR banks and the GST
 // activation applied per pixel, followed by global average pooling and a
 // dense classifier — a thin sequential chain over the shared execution
-// graph (see graph.go). The backward pass runs the full Table II repertoire
-// at every stage: per-pixel outer products for the kernel gradients and
-// per-pixel transpose passes (banks re-encoded with Kᵀ) for the gradient
-// flowing into the previous stage, with the im2col/col2im bookkeeping in
+// graph (see graph.go). The backward pass runs at every stage: per-pixel
+// transpose passes through the resident kernel banks' compiled transpose
+// view for the gradient flowing into the previous stage, and the kernel
+// gradient contracted over pixels, with the im2col/col2im bookkeeping in
 // the digital control unit.
 type DeepCNN struct {
 	*Graph

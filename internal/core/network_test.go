@@ -224,7 +224,7 @@ func TestTransposeMVM(t *testing.T) {
 	l := hw.Layers()[0]
 	w := l.Weights()
 	delta := []float64{0.5, -0.25, 0.75, 0.1, -0.6, 0.3}
-	got, err := l.TransposeMVMInto(nil, delta)
+	got, err := l.TransposeMVMBatchInto(nil, delta, 1)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -237,12 +237,13 @@ func TestTransposeMVM(t *testing.T) {
 			t.Errorf("Wᵀδ[%d] = %v, want ≈%v", i, got[i], want)
 		}
 	}
-	if _, err := l.TransposeMVMInto(nil, make([]float64, 3)); err == nil {
+	if _, err := l.TransposeMVMBatchInto(nil, make([]float64, 3), 1); err == nil {
 		t.Error("wrong delta length: want error")
 	}
 }
 
-// TestOuterProductLayer checks the weight-gradient pass against δh·yᵀ.
+// TestOuterProductLayer checks the weight-gradient contraction at batch 1
+// against δh·yᵀ.
 func TestOuterProductLayer(t *testing.T) {
 	hw := quietNet(t, 0.05, LayerSpec{In: 10, Out: 6})
 	l := hw.Layers()[0]
@@ -255,9 +256,7 @@ func TestOuterProductLayer(t *testing.T) {
 	for j := range grad {
 		grad[j] = make([]float64, len(y))
 	}
-	if err := l.OuterProductInto(grad, deltaH, y); err != nil {
-		t.Fatal(err)
-	}
+	l.outerProductBatchInto(grad, deltaH, y, 1)
 	for j := range deltaH {
 		for i := range y {
 			want := deltaH[j] * y[i]
@@ -265,9 +264,6 @@ func TestOuterProductLayer(t *testing.T) {
 				t.Errorf("δW[%d][%d] = %v, want ≈%v", j, i, grad[j][i], want)
 			}
 		}
-	}
-	if err := l.OuterProductInto(grad, deltaH, make([]float64, 3)); err == nil {
-		t.Error("wrong y length: want error")
 	}
 }
 

@@ -164,3 +164,47 @@ func TestLoadClampsWeights(t *testing.T) {
 		t.Errorf("weights = %v, want clamped to ±1", w[0])
 	}
 }
+
+// FuzzLoadNetwork hardens the state decoder, the trust boundary a deployed
+// device reads its weights through: any byte input must yield a network or
+// an error, never a panic, and a network that decodes must survive one
+// forward pass with finite outputs of the declared width.
+func FuzzLoadNetwork(f *testing.F) {
+	cfg := NetworkConfig{PE: PEConfig{Rows: 8, Cols: 8, DisableNoise: true}}
+	net, err := NewNetwork(cfg, LayerSpec{In: 3, Out: 4, Activate: true}, LayerSpec{In: 4, Out: 2})
+	if err != nil {
+		f.Fatal(err)
+	}
+	var buf bytes.Buffer
+	if err := net.Save(&buf); err != nil {
+		f.Fatal(err)
+	}
+	f.Add(buf.Bytes())
+	f.Add([]byte(`{"version":"trident-state-1","layers":[{"in":2,"out":1,"weights":[[5,-5]]}]}`))
+	f.Add([]byte(`{"version":"trident-state-1","layers":[{"in":1,"out":9,"activate":true,"weights":[[1],[0],[0],[0],[0],[0],[0],[0],[-1]]},{"in":9,"out":1,"weights":[[1,1,1,1,1,1,1,1,1]]}]}`))
+	f.Add([]byte(`{"version":"trident-state-1","layers":[{"in":2,"out":2,"weights":[[0],[0,0]]}]}`))
+	f.Add([]byte(`{"version":"trident-state-1","layers":[{"in":-1,"out":2}]}`))
+	f.Add([]byte(`{not json`))
+	f.Fuzz(func(t *testing.T, data []byte) {
+		net, err := LoadNetwork(bytes.NewReader(data), cfg)
+		if err != nil {
+			return
+		}
+		x := make([]float64, net.InputSize())
+		for i := range x {
+			x[i] = 0.5 - float64(i%3)*0.5
+		}
+		y, err := net.Forward(x)
+		if err != nil {
+			t.Fatalf("forward on a decoded network: %v", err)
+		}
+		if len(y) != net.OutputSize() {
+			t.Fatalf("forward output %d values, want %d", len(y), net.OutputSize())
+		}
+		for i, v := range y {
+			if math.IsNaN(v) || math.IsInf(v, 0) {
+				t.Fatalf("output[%d] = %v, want finite", i, v)
+			}
+		}
+	})
+}

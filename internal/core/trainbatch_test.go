@@ -1,11 +1,8 @@
 package core
 
 import (
-	"errors"
 	"math/rand"
 	"testing"
-
-	"trident/internal/nn"
 )
 
 // flattenAllWeights snapshots every layer's master weight matrix in layer
@@ -149,7 +146,7 @@ func TestTrainBatchDeterministicAcrossWorkers(t *testing.T) {
 }
 
 // TestTransposeBatchMatchesSingle: the batched transpose GEMM must
-// reproduce the per-delta transpose passes bit-exactly with the full noise
+// reproduce per-delta batch-of-one transpose passes bit-exactly with the full noise
 // model on — same outputs, same noise stream, same energy and time.
 func TestTransposeBatchMatchesSingle(t *testing.T) {
 	a, b := twinNetworks(t)
@@ -161,7 +158,7 @@ func TestTransposeBatchMatchesSingle(t *testing.T) {
 		t.Fatal(err)
 	}
 	for s := 0; s < batch; s++ {
-		want, err := la.TransposeMVMInto(nil, ds[s*out:(s+1)*out])
+		want, err := la.TransposeMVMBatchInto(nil, ds[s*out:(s+1)*out], 1)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -203,7 +200,7 @@ func TestTransposeRaggedTileShapes(t *testing.T) {
 			delta[i] = rng.Float64()*2 - 1
 		}
 		want := directWTDelta(l.Weights(), delta, tc.in)
-		got, err := l.compiledTransposeMVMInto(nil, delta)
+		got, err := l.TransposeMVMBatchInto(nil, delta, 1)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -215,7 +212,7 @@ func TestTransposeRaggedTileShapes(t *testing.T) {
 		for i := range ds {
 			ds[i] = rng.Float64()*2 - 1
 		}
-		bout, err := l.compiledTransposeMVMBatchInto(nil, ds, batch)
+		bout, err := l.TransposeMVMBatchInto(nil, ds, batch)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -226,60 +223,71 @@ func TestTransposeRaggedTileShapes(t *testing.T) {
 	}
 }
 
-// TestCompiledTransposeMatchesReprogramReference: on ideal banks with noise
-// off, the compiled transpose view and the legacy reprogram-the-banks-with-Wᵀ
-// rung compute the same Wᵀ·δ to 1e-12 — the property that lets the
-// reprogtranspose build tag act as a drop-in reference implementation.
-func TestCompiledTransposeMatchesReprogramReference(t *testing.T) {
-	cfg := NetworkConfig{
-		PE:           PEConfig{Rows: 16, Cols: 16, DisableNoise: true, Ideal: true},
-		LearningRate: 0.05,
+// TestCompiledTransposeMatchesReference: with noise off, the layer's
+// compiled transpose pass equals the per-tile sum of the banks' direct
+// stored-weight adjoint (mrr ReferenceTransposeMVM) to 1e-12 — with and
+// without inter-channel crosstalk — and, on ideal banks, the exact Wᵀ·δ.
+func TestCompiledTransposeMatchesReference(t *testing.T) {
+	for _, ideal := range []bool{true, false} {
+		cfg := NetworkConfig{
+			PE:           PEConfig{Rows: 16, Cols: 16, DisableNoise: true, Ideal: ideal},
+			LearningRate: 0.05,
+		}
+		net, err := NewNetwork(cfg, LayerSpec{In: 40, Out: 24})
+		if err != nil {
+			t.Fatal(err)
+		}
+		l := net.Layers()[0]
+		rng := rand.New(rand.NewSource(99))
+		delta := make([]float64, 24)
+		for i := range delta {
+			delta[i] = rng.Float64()*2 - 1
+		}
+		compiled, err := l.TransposeMVMBatchInto(nil, delta, 1)
+		if err != nil {
+			t.Fatal(err)
+		}
+		ref := make([]float64, 40)
+		rows, cols := l.TileDims()
+		for r, row := range l.Tiles() {
+			for c, pe := range row {
+				j0, i0 := r*rows, c*cols
+				part := pe.Bank().ReferenceTransposeMVM(nil, delta[j0:min(j0+rows, 24)])
+				for i := i0; i < min(i0+cols, 40); i++ {
+					ref[i] += part[i-i0]
+				}
+			}
+		}
+		assertClose(t, "compiled vs reference Wᵀδ", compiled, ref)
+		if ideal {
+			assertClose(t, "compiled vs direct Wᵀδ", compiled, directWTDelta(l.Weights(), delta, 40))
+		}
 	}
-	net, err := NewNetwork(cfg, LayerSpec{In: 40, Out: 24})
-	if err != nil {
-		t.Fatal(err)
-	}
-	l := net.Layers()[0]
-	rng := rand.New(rand.NewSource(99))
-	delta := make([]float64, 24)
-	for i := range delta {
-		delta[i] = rng.Float64()*2 - 1
-	}
-	compiled, err := l.compiledTransposeMVMInto(nil, delta)
-	if err != nil {
-		t.Fatal(err)
-	}
-	compiled = append([]float64(nil), compiled...)
-	reprog, err := l.reprogramTransposeMVMInto(nil, delta)
-	if err != nil {
-		t.Fatal(err)
-	}
-	assertClose(t, "compiled vs reprogram Wᵀδ", compiled, reprog)
-	assertClose(t, "reprogram vs direct Wᵀδ", reprog, directWTDelta(l.Weights(), delta, 40))
 }
 
 // TestBackwardZeroProgrammingWrites is the wear contract of the compiled
-// backward path: across a whole training epoch, the backward half of every
-// step — transpose GEMMs, col2im, outer products, weight update — issues
-// ZERO programming writes to the GST cells. The only endurance traffic
-// left in training is the post-update forward recompile.
+// backward path: once the banks hold the current weights, a whole training
+// step — forward on the resident banks, transpose GEMMs, col2im, outer
+// products, weight update — issues ZERO programming writes to the GST
+// cells. The only endurance traffic left in training is the post-update
+// forward recompile, which the update defers to the next pass.
 func TestBackwardZeroProgrammingWrites(t *testing.T) {
 	d := quietDeepCNN(t, 2, 0.05)
 	g := d.Graph
 	for step := 0; step < 6; step++ {
-		logits, err := g.Forward(testImage(int64(step)).Data())
-		if err != nil {
-			t.Fatal(err)
+		// Program the previous step's update first, so the writes measured
+		// below are this step's own.
+		for _, l := range g.Layers() {
+			if err := l.EnsureForward(); err != nil {
+				t.Fatal(err)
+			}
 		}
 		before := totalTunerWrites(g)
-		probs := nn.Softmax(logits)
-		delta := append([]float64(nil), probs...)
-		delta[step%2] -= 1
-		if err := g.backward(delta); err != nil {
+		if _, err := g.TrainSample(testImage(int64(step)).Data(), step%2); err != nil {
 			t.Fatal(err)
 		}
 		if after := totalTunerWrites(g); after != before {
-			t.Fatalf("step %d: backward issued %d programming writes, want 0", step, after-before)
+			t.Fatalf("step %d: training step issued %d programming writes, want 0", step, after-before)
 		}
 	}
 
@@ -304,46 +312,50 @@ func TestBackwardZeroProgrammingWrites(t *testing.T) {
 	}
 }
 
-// TestStaleTrainStateGuard: the serving batch paths and TrainBatch overwrite
-// the per-sample training state, so a bare backward afterwards must fail
-// loudly with ErrStaleTrainState instead of silently training on stale
-// activations; a fresh Forward re-validates, and TrainSample (which embeds
-// its own forward) is immune.
+// TestStaleTrainStateGuard: single-sample training is a batch of one and
+// keeps its own sample-major training state, so serving calls in between
+// cannot leak stale activations into it. A TrainSample after ForwardBatch,
+// PredictBatch and a pipelined batch must be the same step, bit for bit, as
+// on a fresh twin that served nothing (noise off, so serving draws no
+// randomness the twin would not).
 func TestStaleTrainStateGuard(t *testing.T) {
-	net, err := NewNetwork(noisyCfg(),
-		LayerSpec{In: 12, Out: 16, Activate: true},
-		LayerSpec{In: 16, Out: 3})
+	served, fresh := quietDeepCNN(t, 2, 0.05), quietDeepCNN(t, 2, 0.05)
+	const batch = 3
+	xs := make([]float64, batch*64)
+	for s := 0; s < batch; s++ {
+		copy(xs[s*64:(s+1)*64], testImage(int64(300+s)).Data())
+	}
+	p, err := NewPipeline(served.Graph, []int{1}, 1)
 	if err != nil {
 		t.Fatal(err)
 	}
-	xs := batchInputs(t, 5, 2, 12)
-	delta := []float64{0.5, -0.25, -0.25}
-
-	if _, err := net.Forward(xs[:12]); err != nil {
-		t.Fatal(err)
-	}
-	if _, err := net.ForwardBatch(xs, 2); err != nil {
-		t.Fatal(err)
-	}
-	if err := net.backward(delta); !errors.Is(err, ErrStaleTrainState) {
-		t.Fatalf("backward after batched forward: %v, want ErrStaleTrainState", err)
-	}
-	if _, err := net.Forward(xs[:12]); err != nil {
-		t.Fatal(err)
-	}
-	if err := net.backward(delta); err != nil {
-		t.Fatalf("backward after fresh forward: %v", err)
-	}
-	if _, err := net.ForwardBatch(xs, 2); err != nil {
-		t.Fatal(err)
-	}
-	if _, err := net.TrainSample(xs[:12], 1); err != nil {
-		t.Fatalf("TrainSample after batched forward: %v", err)
-	}
-	if _, err := net.TrainBatch(xs, []int{1, 2}); err != nil {
-		t.Fatal(err)
-	}
-	if err := net.backward(delta); !errors.Is(err, ErrStaleTrainState) {
-		t.Fatalf("backward after TrainBatch: %v, want ErrStaleTrainState", err)
+	for step := 0; step < 4; step++ {
+		if _, err := served.ForwardBatch(xs, batch); err != nil {
+			t.Fatal(err)
+		}
+		if _, err := served.PredictBatch(nil, xs, batch); err != nil {
+			t.Fatal(err)
+		}
+		if _, err := p.ForwardBatchPipelined(nil, xs, batch); err != nil {
+			t.Fatal(err)
+		}
+		x := testImage(int64(step)).Data()
+		got, err := served.Graph.TrainSample(x, step%2)
+		if err != nil {
+			t.Fatal(err)
+		}
+		want, err := fresh.Graph.TrainSample(x, step%2)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if got != want {
+			t.Fatalf("step %d: loss after serving %v, fresh twin %v", step, got, want)
+		}
+		gw, ww := flattenAllWeights(served.Graph), flattenAllWeights(fresh.Graph)
+		for i := range ww {
+			if gw[i] != ww[i] {
+				t.Fatalf("step %d weight[%d]: after serving %v, fresh twin %v", step, i, gw[i], ww[i])
+			}
+		}
 	}
 }

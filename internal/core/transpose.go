@@ -1,20 +1,14 @@
 package core
 
-// The layer-level backward kernel ladder. The production rung serves every
-// gradient-vector pass Wᵀ·δ from the *forward* tile grid: each bank keeps
-// the weights it already holds for inference and answers the adjoint query
-// from its compiled transpose view (mrr/transpose.go), so the backward pass
-// performs zero bank programming — no tuner write pulses, no endurance
-// cycles, and no forward/backward epoch ping-pong. The historical rung,
-// which physically reprograms Wᵀ into the banks before every backward
-// window (and therefore burns endurance and invalidates the forward
-// snapshot), survives behind the reprogtranspose build tag as the reference
-// implementation; transpose_fast.go / transpose_slow.go route between them.
+// The layer-level backward kernels. Every gradient-vector pass Wᵀ·δ is
+// served from the *forward* tile grid: each bank keeps the weights it
+// already holds for inference and answers the adjoint query from its
+// compiled transpose view (mrr/transpose.go), so the backward pass performs
+// zero bank programming — no tuner write pulses, no endurance cycles, and no
+// forward/backward epoch ping-pong.
 //
-// Geometry note: the compiled rung uses the forward grid directly — tile
-// (r, c) holds W[j0:j1, i0:i1] and contributes out[i0:i1] from δ[j0:j1] —
-// so it has no square-bank restriction. The reprogram rung reuses the
-// forward grid transposed and still requires square banks.
+// Geometry note: tile (r, c) holds W[j0:j1, i0:i1] and contributes
+// out[i0:i1] from δ[j0:j1], so there is no square-bank restriction.
 
 import (
 	"fmt"
@@ -22,57 +16,22 @@ import (
 	"trident/internal/tensor"
 )
 
-// compiledTransposeMVMInto is the single-sample compiled transpose pass:
-// every forward tile answers its adjoint slice from the bank's compiled
-// transpose view, and the per-tile partials merge in fixed (rowTile,
-// colTile) order — the mirror of MVMInto, scheduling-independent. The banks
-// must hold the forward weights; a stale layer reprograms forward (not
-// transpose) first, so serving and training share one resident layout.
-func (l *DenseLayer) compiledTransposeMVMInto(dst, delta []float64) ([]float64, error) {
-	if l.state != bankForward {
-		if err := l.programForward(); err != nil {
-			return nil, err
-		}
-	}
-	rt, ct := len(l.tiles), len(l.tiles[0])
-	l.streamX = growFloats(l.streamX, rt*ct*l.cols)
-	slab := l.streamX
-	if err := runTiles(rt, ct, func(r, c int) error {
-		j0 := r * l.rows
-		j1 := min(j0+l.rows, l.spec.Out)
-		out := slab[(r*ct+c)*l.cols:][:l.cols:l.cols]
-		_, err := l.tiles[r][c].TransposePassInto(out, delta[j0:j1])
-		return err
-	}); err != nil {
-		return nil, err
-	}
-	out := growFloats(dst, l.spec.In)
-	for i := range out {
-		out[i] = 0
-	}
-	for r := 0; r < rt; r++ {
-		for c := 0; c < ct; c++ {
-			part := slab[(r*ct+c)*l.cols:]
-			i0 := c * l.cols
-			i1 := min(i0+l.cols, l.spec.In)
-			for i := i0; i < i1; i++ {
-				out[i] += part[i-i0]
-			}
-		}
-	}
-	return out, nil
-}
-
-// compiledTransposeMVMBatchInto streams a batch of delta vectors through
-// the forward tile grid's transpose views: sample s occupies
-// ds[s*Out : (s+1)*Out] and its input gradient lands in
+// TransposeMVMBatchInto computes Wᵀ·δ for a whole batch by streaming the
+// delta vectors through the forward tile grid's transpose views: sample s
+// occupies ds[s*Out : (s+1)*Out] and its input gradient lands in
 // dst[s*In : (s+1)*In], both sample-major. Tiles fan out across the worker
 // pool, each streaming the whole batch through the bank's register-blocked
-// adjoint GEMM; per-tile partials merge per sample in the same fixed order
-// as the single-sample pass, so results are bit-identical to B independent
-// compiledTransposeMVMInto calls at any worker count.
-func (l *DenseLayer) compiledTransposeMVMBatchInto(dst, ds []float64, batch int) ([]float64, error) {
+// adjoint GEMM; per-tile partials merge per sample in fixed (rowTile,
+// colTile) order, so results are bit-identical to B batch-of-one calls at
+// any worker count. The banks must hold the forward weights; a stale layer
+// reprograms forward (not transpose) first, so serving and training share
+// one resident layout.
+func (l *DenseLayer) TransposeMVMBatchInto(dst, ds []float64, batch int) ([]float64, error) {
 	in, out := l.spec.In, l.spec.Out
+	if batch < 0 || len(ds) < batch*out {
+		return nil, fmt.Errorf("core: transpose batch %d×%d needs %d deltas, have %d",
+			batch, out, batch*out, len(ds))
+	}
 	if l.state != bankForward {
 		if err := l.programForward(); err != nil {
 			return nil, err
@@ -126,81 +85,14 @@ func (l *DenseLayer) compiledTransposeMVMBatchInto(dst, ds []float64, batch int)
 	return dst, nil
 }
 
-// TransposeMVMBatchInto computes Wᵀ·δ for a whole batch, sample-major (see
-// compiledTransposeMVMBatchInto for layout). The production build serves it
-// reprogram-free from the compiled transpose views; -tags=reprogtranspose
-// swaps in a per-sample loop over the reprogram rung.
-func (l *DenseLayer) TransposeMVMBatchInto(dst, ds []float64, batch int) ([]float64, error) {
-	out := l.spec.Out
-	if batch < 0 || len(ds) < batch*out {
-		return nil, fmt.Errorf("core: transpose batch %d×%d needs %d deltas, have %d",
-			batch, out, batch*out, len(ds))
-	}
-	return l.transposeBatchKernel(dst, ds, batch)
-}
-
-// reprogramTransposeMVMInto is the reference rung: it physically writes Wᵀ
-// into the banks (the pre-compiled-view operand layout) and runs forward
-// passes over the transposed tile grid. Every switch between forward and
-// backward orientation reprograms the full layer — endurance writes the
-// compiled rung avoids. Kept for A/B experiments via -tags=reprogtranspose
-// and pinned against the compiled rung on ideal banks (transpose_core_test).
-func (l *DenseLayer) reprogramTransposeMVMInto(dst, delta []float64) ([]float64, error) {
-	if l.state != bankTranspose {
-		if err := l.programTranspose(); err != nil {
-			return nil, err
-		}
-	}
-	rt := (l.spec.In + l.rows - 1) / l.rows
-	ct := (l.spec.Out + l.cols - 1) / l.cols
-	if err := runTiles(rt, ct, func(r, c int) error {
-		i0 := c * l.cols
-		i1 := min(i0+l.cols, l.spec.Out)
-		_, err := l.tiles[c][r].MVMPassInto(l.part[r*ct+c], delta[i0:i1])
-		return err
-	}); err != nil {
-		return nil, err
-	}
-	out := growFloats(dst, l.spec.In)
-	for j := range out {
-		out[j] = 0
-	}
-	for r := 0; r < rt; r++ {
-		j0 := r * l.rows
-		j1 := min(j0+l.rows, l.spec.In)
-		for c := 0; c < ct; c++ {
-			part := l.part[r*ct+c]
-			for j := j0; j < j1; j++ {
-				out[j] += part[j-j0]
-			}
-		}
-	}
-	return out, nil
-}
-
-// ensureDInPart sizes the per-tile conv input-gradient buffers (tiles × n,
-// flat-backed) shared by both col2im rungs.
-func ensureDInPart(partBuf *[][]float64, tiles, n int) [][]float64 {
-	dInPart := *partBuf
-	if dInPart == nil || len(dInPart) < tiles || len(dInPart[0]) < n {
-		flat := make([]float64, tiles*n)
-		dInPart = make([][]float64, tiles)
-		for t := range dInPart {
-			dInPart[t] = flat[t*n : (t+1)*n]
-		}
-		*partBuf = dInPart
-	}
-	return dInPart
-}
-
-// streamTransposeCol2imCompiled runs a conv node's gradient-vector passes
+// streamTransposeCol2im runs a conv node's gradient-vector passes
 // reprogram-free: each forward tile gathers the active pixels' delta slices
 // into a sample-major slab, streams them through its bank's compiled
 // transpose view in one batched adjoint GEMM (pixels in ascending order, so
 // the PE's noise and energy sequence equals the serial per-pixel loop), and
 // scatters its patch-gradient rows via col2im into a per-tile buffer. The
 // buffers merge into dst in fixed tile order, independent of worker count.
-func streamTransposeCol2imCompiled(l *DenseLayer, s tensor.Conv2DSpec, deltaH []float64, active []bool, partBuf *[][]float64, dst *tensor.Tensor) error {
+func streamTransposeCol2im(l *DenseLayer, s tensor.Conv2DSpec, deltaH []float64, active []bool, partBuf *[][]float64, dst *tensor.Tensor) error {
 	pixels := s.OutH() * s.OutW()
 	nact := 0
 	for _, a := range active[:pixels] {
@@ -218,7 +110,15 @@ func streamTransposeCol2imCompiled(l *DenseLayer, s tensor.Conv2DSpec, deltaH []
 	}
 	rt, ct := len(l.tiles), len(l.tiles[0])
 	n := dst.Len()
-	dInPart := ensureDInPart(partBuf, rt*ct, n)
+	dInPart := *partBuf
+	if len(dInPart) < rt*ct || len(dInPart[0]) < n {
+		flat := make([]float64, rt*ct*n)
+		dInPart = make([][]float64, rt*ct)
+		for t := range dInPart {
+			dInPart[t] = flat[t*n : (t+1)*n]
+		}
+		*partBuf = dInPart
+	}
 	l.stream = growFloats(l.stream, rt*ct*l.rows*pixels)
 	l.streamX = growFloats(l.streamX, rt*ct*l.cols*pixels)
 	dSlab, oSlab := l.stream, l.streamX
@@ -256,60 +156,6 @@ func streamTransposeCol2imCompiled(l *DenseLayer, s tensor.Conv2DSpec, deltaH []
 			}
 			col2imAddRows(buf, o[idx*l.cols:][:i1-i0], i0, s, p)
 			idx++
-		}
-		return nil
-	}); err != nil {
-		return err
-	}
-	out := dst.Data()
-	for t := 0; t < rt*ct; t++ {
-		for i, v := range dInPart[t][:n] {
-			if v != 0 {
-				out[i] += v
-			}
-		}
-	}
-	return nil
-}
-
-// streamTransposeCol2imReprogram is the reference-rung conv backward: banks
-// reprogram to Kᵀ and each transposed tile walks its active pixels with
-// plain forward passes. See streamTransposeCol2imCompiled for the
-// production path this is pinned against.
-func streamTransposeCol2imReprogram(l *DenseLayer, s tensor.Conv2DSpec, deltaH []float64, active []bool, partBuf *[][]float64, dst *tensor.Tensor) error {
-	pixels := s.OutH() * s.OutW()
-	if l.state != bankTranspose {
-		if err := l.programTranspose(); err != nil {
-			return err
-		}
-	}
-	rt := (l.spec.In + l.rows - 1) / l.rows
-	ct := (l.spec.Out + l.cols - 1) / l.cols
-	n := dst.Len()
-	dInPart := ensureDInPart(partBuf, rt*ct, n)
-	if err := runTiles(rt, ct, func(r, c int) error {
-		pe := l.tiles[c][r]
-		j0 := r * l.rows
-		j1 := min(j0+l.rows, l.spec.In)
-		i0 := c * l.cols
-		i1 := min(i0+l.cols, l.spec.Out)
-		buf := dInPart[r*ct+c][:n]
-		for i := range buf {
-			buf[i] = 0
-		}
-		dh := pe.colBuf[:i1-i0]
-		for p := 0; p < pixels; p++ {
-			if !active[p] {
-				continue
-			}
-			for k := i0; k < i1; k++ {
-				dh[k-i0] = deltaH[k*pixels+p]
-			}
-			part, err := pe.MVMPassInto(l.part[r*ct+c], dh)
-			if err != nil {
-				return err
-			}
-			col2imAddRows(buf, part[:j1-j0], j0, s, p)
 		}
 		return nil
 	}); err != nil {

@@ -1,6 +1,7 @@
 package dataflow
 
 import (
+	"math/rand"
 	"testing"
 
 	"trident/internal/models"
@@ -99,5 +100,81 @@ func TestPartitionBalancedRejectsBadInput(t *testing.T) {
 	}
 	if _, err := PartitionBalanced([]int64{1, -2}, []bool{true, true}, 2); err == nil {
 		t.Fatal("negative cost accepted")
+	}
+}
+
+// bruteForceMinMax enumerates every legal cut set of at most k−1 interior
+// boundaries (a boundary after item j < n−1 with legal[j]) and returns the
+// smallest achievable maximum stage cost.
+func bruteForceMinMax(costs []int64, legal []bool, k int) int64 {
+	n := len(costs)
+	best := int64(-1)
+	for mask := 0; mask < 1<<(n-1); mask++ {
+		var cuts []int
+		ok := true
+		for j := 0; j < n-1; j++ {
+			if mask&(1<<j) == 0 {
+				continue
+			}
+			if !legal[j] {
+				ok = false
+				break
+			}
+			cuts = append(cuts, j)
+		}
+		if !ok || len(cuts) > k-1 {
+			continue
+		}
+		if c := MaxStageCost(costs, cuts); best < 0 || c < best {
+			best = c
+		}
+	}
+	return best
+}
+
+// TestPartitionBalancedExactAgainstBruteForce backs the "exact" claim: for
+// every n ≤ 12, over seeded random costs (zeros and heavy outliers
+// included) and random legal masks, at every stage count 1..n+1, the DP's
+// cuts are legal, strictly increasing, at most K−1, and their maximum stage
+// cost equals the optimum found by enumerating every legal cut set.
+func TestPartitionBalancedExactAgainstBruteForce(t *testing.T) {
+	rng := rand.New(rand.NewSource(16))
+	for n := 1; n <= 12; n++ {
+		for trial := 0; trial < 25; trial++ {
+			costs := make([]int64, n)
+			legal := make([]bool, n)
+			density := rng.Float64()
+			for i := range costs {
+				switch r := rng.Float64(); {
+				case r < 0.1:
+					costs[i] = 0
+				case r < 0.2:
+					costs[i] = 50 + rng.Int63n(200)
+				default:
+					costs[i] = 1 + rng.Int63n(20)
+				}
+				legal[i] = rng.Float64() < density
+			}
+			for k := 1; k <= n+1; k++ {
+				cuts, err := PartitionBalanced(costs, legal, k)
+				if err != nil {
+					t.Fatalf("n=%d costs=%v legal=%v K=%d: %v", n, costs, legal, k, err)
+				}
+				if len(cuts) > k-1 {
+					t.Fatalf("n=%d K=%d: %d cuts exceed K−1", n, k, len(cuts))
+				}
+				for i, c := range cuts {
+					if c < 0 || c >= n-1 || !legal[c] || (i > 0 && c <= cuts[i-1]) {
+						t.Fatalf("n=%d costs=%v legal=%v K=%d: cuts %v not strictly increasing legal interior boundaries",
+							n, costs, legal, k, cuts)
+					}
+				}
+				got, want := MaxStageCost(costs, cuts), bruteForceMinMax(costs, legal, k)
+				if got != want {
+					t.Fatalf("n=%d costs=%v legal=%v K=%d: DP max stage %d (cuts %v), optimum %d",
+						n, costs, legal, k, got, cuts, want)
+				}
+			}
+		}
 	}
 }

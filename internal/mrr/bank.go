@@ -572,15 +572,15 @@ func (b *WeightBank) rowWeights(j int) (wj []float64, ok bool) {
 // between weight-state mutations. The production kernel exploits that: it
 // compiles a flat effective-weight matrix Weff once per epoch (see
 // compiled.go) and serves every pass as a single contiguous GEMV with zero
-// per-row indirection. Building with -tags=slowmvm swaps in the O(rows·n·N)
-// reference triple loop instead (mvm_slow.go); factoredMVM, the PR 3
-// once-per-pass leaked-input kernel, remains as a second semantic reference.
+// per-row indirection. The O(rows·n·N) reference triple loop (ReferenceMVM)
+// and factoredMVM, the once-per-pass leaked-input kernel, remain as the
+// semantic references the tests pin it against.
 // The result is written into dst, which is allocated if nil or short. The
 // lazily-recompiled snapshot makes a bank single-writer: callers follow the
 // one-goroutine-per-PE ownership contract of the tile-execution engine.
 func (b *WeightBank) MVM(dst, x []float64) []float64 {
 	dst, n := b.mvmPrepare(dst, x)
-	b.mvmKernel(dst, x[:n])
+	b.compiledMVM(dst, x[:n])
 	return dst
 }
 
@@ -602,21 +602,21 @@ func (b *WeightBank) batchPrepare(dst, xs []float64, batch, n int) []float64 {
 
 // MVMBatchInto streams a batch of input vectors through the weight-
 // stationary bank: sample s occupies xs[s*n : (s+1)*n] and its outputs land
-// in dst[s*J : (s+1)*J], both sample-major. The production build runs the
-// register-blocked compiled kernel (compiled.go), which amortizes each
+// in dst[s*J : (s+1)*J], both sample-major. It runs the register-blocked
+// compiled kernel (compiled.go), which amortizes each
 // effective-weight row across four samples at a time while staying
 // bit-identical to per-sample MVM calls; the steady-state path performs zero
 // per-sample allocations. It panics on inconsistent geometry (a wiring error
 // in the caller). dst is allocated when nil or short.
 func (b *WeightBank) MVMBatchInto(dst, xs []float64, batch, n int) []float64 {
 	dst = b.batchPrepare(dst, xs, batch, n)
-	b.mvmBatchKernel(dst, xs, batch, n)
+	b.compiledMVMBatch(dst, xs, batch, n)
 	return dst
 }
 
-// FactoredMVMBatchInto is MVMBatchInto pinned to the PR 3 factored kernel
-// regardless of build tags — the per-sample baseline the compiled batch
-// kernel's speedup gate measures against.
+// FactoredMVMBatchInto is MVMBatchInto pinned to the factored kernel — the
+// per-sample baseline the compiled batch kernel's speedup gate measures
+// against.
 func (b *WeightBank) FactoredMVMBatchInto(dst, xs []float64, batch, n int) []float64 {
 	dst = b.batchPrepare(dst, xs, batch, n)
 	for s := 0; s < batch; s++ {
@@ -714,28 +714,27 @@ func (b *WeightBank) referenceMVM(dst, x []float64) {
 	}
 }
 
-// ReferenceMVM computes the bank MVM with the reference triple-loop kernel
-// regardless of build tags — the comparison baseline for equivalence tests
-// and the benchmark trajectory's speedup gates.
+// ReferenceMVM computes the bank MVM with the reference triple-loop kernel —
+// the comparison baseline for equivalence tests and the benchmark
+// trajectory's speedup gates.
 func (b *WeightBank) ReferenceMVM(dst, x []float64) []float64 {
 	dst, n := b.mvmPrepare(dst, x)
 	b.referenceMVM(dst, x[:n])
 	return dst
 }
 
-// FactoredMVM computes the bank MVM with the PR 3 factored kernel
-// regardless of build tags — the intermediate baseline between the
-// reference triple loop and the compiled snapshot in the benchmark
-// trajectory.
+// FactoredMVM computes the bank MVM with the factored kernel — the
+// intermediate baseline between the reference triple loop and the compiled
+// snapshot in the benchmark trajectory.
 func (b *WeightBank) FactoredMVM(dst, x []float64) []float64 {
 	dst, n := b.mvmPrepare(dst, x)
 	b.factoredMVM(dst, x[:n])
 	return dst
 }
 
-// CompiledMVM computes the bank MVM with the compiled-snapshot GEMV kernel
-// regardless of build tags, recompiling first if the weight state changed
-// (see compiled.go).
+// CompiledMVM computes the bank MVM with the compiled-snapshot GEMV kernel,
+// recompiling first if the weight state changed (see compiled.go) — the
+// kernel MVM serves, named as its rung of the benchmark ladder.
 func (b *WeightBank) CompiledMVM(dst, x []float64) []float64 {
 	dst, n := b.mvmPrepare(dst, x)
 	b.compiledMVM(dst, x[:n])

@@ -89,16 +89,14 @@ func TestFactoredKernelMatchesReference(t *testing.T) {
 	}
 }
 
-// TestMVMUsesDefaultKernel pins MVM to the build's kernel wiring: MVM output
-// must be bit-identical to mvmKernel — the compiled-snapshot GEMV on the
-// default build, the reference triple loop under -tags=slowmvm — keeping
-// both tag builds testable.
+// TestMVMUsesDefaultKernel pins MVM to its kernel wiring: MVM output must be
+// bit-identical to the compiled-snapshot GEMV it serves every pass from.
 func TestMVMUsesDefaultKernel(t *testing.T) {
 	rng := rand.New(rand.NewSource(5))
 	b := randomBank(t, rng, 4, 8, false)
 	x := randomInput(rng, 8, 0)
 	want := make([]float64, 4)
-	b.mvmKernel(want, x)
+	b.compiledMVM(want, x)
 	got := b.MVM(nil, x)
 	for j := range want {
 		if got[j] != want[j] {

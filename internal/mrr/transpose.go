@@ -29,10 +29,9 @@ import "fmt"
 // channels. That differs from physically reprogramming Wᵀ into a bank
 // (where the band would couple Wᵀ's channels, i.e. W's *rows*) — the
 // compiled view is the mathematically correct gradient of the forward pass,
-// the reprogram path an approximation that also burns endurance. The
-// reprogram rung survives behind the core package's reprogtranspose build
-// tag; here, referenceTransposeMVM pins the compiled view ≤1e-12 against a
-// direct evaluation from stored weights across all seven mutators
+// the reprogram path an approximation that also burns endurance.
+// referenceTransposeMVM pins the compiled view ≤1e-12 against a direct
+// evaluation from stored weights across all seven mutators
 // (transpose_test.go).
 
 // patchTransposeRow mirrors one freshly compiled Weff row into the
@@ -155,8 +154,8 @@ func (b *WeightBank) compiledTransposeMVMBatch(dst, ds []float64, batch, m int) 
 // the stored weights — rotation resolved, masked rows zero, crosstalk band
 // folded along the forward pass's channels — without touching either
 // compiled view. It is the semantic reference the transpose property suite
-// pins the compiled rung against (≤1e-12 across all seven mutators), and
-// the slowmvm build's production kernel. delta must already be clamped to
+// pins the compiled rung against (≤1e-12 across all seven mutators).
+// delta must already be clamped to
 // the bank's row count; dst must have exactly cols entries.
 func (b *WeightBank) referenceTransposeMVM(dst, delta []float64) {
 	cols := b.cols
@@ -190,32 +189,32 @@ func (b *WeightBank) referenceTransposeMVM(dst, delta []float64) {
 
 // TransposeMVM computes the bank's adjoint pass out = Weffᵀ·δ for a delta
 // vector (len ≤ J): the gradient the forward operator MVM induces on its
-// input, crosstalk included. The production build serves it from the
-// compiled transpose view — no bank reprogramming, no endurance writes, no
-// invalidation of the forward snapshot; -tags=slowmvm swaps in the direct
-// stored-weight reference. The result is written into dst, which is
+// input, crosstalk included. It is served from the compiled transpose
+// view — no bank reprogramming, no endurance writes, no invalidation of the
+// forward snapshot. The result is written into dst, which is
 // allocated if nil or short.
 func (b *WeightBank) TransposeMVM(dst, delta []float64) []float64 {
 	dst, m := b.tmvmPrepare(dst, delta)
-	b.tmvmKernel(dst, delta[:m])
+	b.compiledTransposeMVM(dst, delta[:m])
 	return dst
 }
 
 // TransposeMVMBatchInto streams a batch of delta vectors through the
 // transpose view: sample s occupies ds[s*m : (s+1)*m] and its outputs land
-// in dst[s*N : (s+1)*N], both sample-major. The production build runs the
-// same register-blocked GEMM as the forward batch path over the transpose
+// in dst[s*N : (s+1)*N], both sample-major. It runs the same
+// register-blocked GEMM as the forward batch path over the transpose
 // view, bit-identical to per-sample TransposeMVM calls at any worker count.
 // It panics on inconsistent geometry; dst is allocated when nil or short.
 func (b *WeightBank) TransposeMVMBatchInto(dst, ds []float64, batch, m int) []float64 {
 	dst = b.tbatchPrepare(dst, ds, batch, m)
-	b.tmvmBatchKernel(dst, ds, batch, m)
+	b.compiledTransposeMVMBatch(dst, ds, batch, m)
 	return dst
 }
 
 // CompiledTransposeMVM computes the adjoint pass with the compiled
-// transpose view regardless of build tags, recompiling (and on first use
-// activating the view) if the weight state changed.
+// transpose view, recompiling (and on first use activating the view) if the
+// weight state changed — the kernel TransposeMVM serves, named as its rung
+// of the benchmark ladder.
 func (b *WeightBank) CompiledTransposeMVM(dst, delta []float64) []float64 {
 	dst, m := b.tmvmPrepare(dst, delta)
 	b.compiledTransposeMVM(dst, delta[:m])
@@ -223,8 +222,8 @@ func (b *WeightBank) CompiledTransposeMVM(dst, delta []float64) []float64 {
 }
 
 // ReferenceTransposeMVM computes the adjoint pass directly from stored
-// weights regardless of build tags — the comparison baseline for the
-// transpose property suite and the benchmark trajectory.
+// weights — the comparison baseline for the transpose property suite and
+// the benchmark trajectory.
 func (b *WeightBank) ReferenceTransposeMVM(dst, delta []float64) []float64 {
 	dst, m := b.tmvmPrepare(dst, delta)
 	b.referenceTransposeMVM(dst, delta[:m])
