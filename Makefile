@@ -39,41 +39,24 @@ tier2-reliability:
 	$(GO) test -run '^$$' -fuzz '^FuzzCellProgram$$' -fuzztime 10s ./internal/pcm/
 	$(GO) test -run '^$$' -fuzz '^FuzzLoadNetwork$$' -fuzztime 10s ./internal/core/
 
-# Benchmark trajectory: the kernel/batch/recompilation microbenchmarks, the
-# training pair, the two regenerating-table benchmarks, the serving
-# throughput pair, the routed-replica pair, and the pipelined-execution
-# pair, BENCH_COUNT repetitions with allocation reporting, parsed into the
-# machine-readable trajectory file (BENCH_OUT, default
-# BENCH_PR10.json). cmd/benchjson exits non-zero unless the factored kernel
-# holds ≥2× over the reference triple loop on the 64×64 bank, the compiled
-# batch kernel ≥1.5× over the factored kernel on the 256×256 batched MVM,
-# the incremental dirty-row recompile ≥5× over a full snapshot rebuild on
-# the 256×256 bank, the pool-parallel batch GEMM ≥1.5× over the
-# single-threaded batch on the 256×256 bank (recorded but waived on
-# single-CPU hosts, where no parallel speedup is physically available —
-# multi-core CI enforces it), the micro-batching serve front-end ≥1.2×
-# requests/second over single-request dispatch, batched in-situ training
-# ≥2× per-sample throughput over the sequential TrainSample schedule on the
-# 256×256 layer, two-replica routed serving ≥1.3× a single replica
-# under maintenance churn (ApplyParallelGate: recorded but waived below 2
-# CPUs, where the sibling replicas cannot actually run concurrently), and
-# 4-stage pipelined DeepCNN batch execution ≥1.4× the sequential batched
-# path (recorded but waived below 4 CPUs, where four stage workers cannot
-# actually overlap).
+# Benchmark trajectory: every case of internal/benchio's suite (the bank
+# kernels, recompilation and programming sweep, the training pair, two
+# regenerating tables, and the serving, routed-replica and pipelining
+# pairs), BENCH_COUNT runs each through `trident bench`, written to the
+# trajectory file BENCH_OUT (default BENCH_PR10.json). The run exits
+# non-zero after writing the file if a gate of benchio.Gates fails; the
+# parallelism gates are recorded but waived on hosts with too few CPUs.
 BENCH_OUT ?= BENCH_PR10.json
 BENCH_COUNT ?= 6
-BENCH_PATTERN = ^(BenchmarkBankMVM|BenchmarkBankMVMCompiled|BenchmarkBankMVMFactored|BenchmarkBankMVMReference|BenchmarkBankMVMBatch|BenchmarkBankMVMBatchFactored|BenchmarkBankMVMBatchParallel|BenchmarkBankRecompileFull|BenchmarkBankRecompileIncremental|BenchmarkBankProgram|BenchmarkTrainStep|BenchmarkTrainBatch|BenchmarkTransposeCompiled|BenchmarkTableIII_PowerBreakdown|BenchmarkFigure6_InferencesPerSecond|BenchmarkServeBatcher|BenchmarkServeUnbatched|BenchmarkRouterOneReplica|BenchmarkRouterTwoReplicas|BenchmarkDeepCNNBatchSequential|BenchmarkDeepCNNBatchPipelined)$$
 
 bench:
-	$(GO) test -run='^$$' -bench='$(BENCH_PATTERN)' -benchmem -count=$(BENCH_COUNT) . > bench.out
-	$(GO) run ./cmd/benchjson -out $(BENCH_OUT) < bench.out
-	@rm -f bench.out
+	$(GO) run ./cmd/trident bench -o $(BENCH_OUT) -count $(BENCH_COUNT)
 
 # Profiled trajectory run: the same benchmarks through `trident bench` with
 # CPU and allocation profiles captured for `go tool pprof` (see DESIGN.md
-# §11/§12 for captured excerpts). Writes its (single-repetition, profiled)
+# §11/§12 for captured excerpts). Writes its (single-run, profiled)
 # trajectory to a scratch file so the tracked $(BENCH_OUT) keeps the
-# unprofiled six-repetition numbers from `make bench`.
+# unprofiled numbers from `make bench`.
 bench-profile:
 	$(GO) run ./cmd/trident bench -o bench-profile.json -cpuprofile cpu.pprof -memprofile mem.pprof
 
@@ -85,4 +68,4 @@ bench-all:
 # Remove benchmark/profiling byproducts (the tracked BENCH_*.json
 # trajectories are left alone).
 clean:
-	rm -f cpu.pprof mem.pprof bench-profile.json bench.out
+	rm -f cpu.pprof mem.pprof bench-profile.json

@@ -1,24 +1,20 @@
 package trident
 
 // The benchmark harness: one Benchmark per paper table and figure (each
-// regenerates the artifact end to end), plus micro-benchmarks on the
-// simulator's hot paths. Run with:
+// regenerates the artifact end to end), micro-benchmarks on the
+// simulator's hot paths, and BenchmarkTrajectory, which reaches every case
+// of the gated benchmark trajectory. Run with:
 //
 //	go test -bench=. -benchmem
 //
 // and compare the printed artifacts against EXPERIMENTS.md.
 
 import (
-	"context"
-	"errors"
-	"fmt"
 	"math/rand"
-	"sync"
-	"sync/atomic"
 	"testing"
-	"time"
 
 	"trident/internal/accel"
+	"trident/internal/benchio"
 	"trident/internal/core"
 	"trident/internal/dataflow"
 	"trident/internal/dataset"
@@ -27,9 +23,7 @@ import (
 	"trident/internal/experiments"
 	"trident/internal/models"
 	"trident/internal/mrr"
-	"trident/internal/optics"
 	"trident/internal/pcm"
-	"trident/internal/serve"
 	"trident/internal/tensor"
 	"trident/internal/train"
 )
@@ -54,17 +48,6 @@ func BenchmarkTableI_TuningMethods(b *testing.B) {
 			b.Fatal(err)
 		}
 		_ = experiments.TableI()
-	}
-}
-
-// BenchmarkTableIII_PowerBreakdown regenerates the PE power table.
-func BenchmarkTableIII_PowerBreakdown(b *testing.B) {
-	b.ReportAllocs()
-	for i := 0; i < b.N; i++ {
-		t := experiments.TableIII()
-		if len(t.Rows) == 0 {
-			b.Fatal("empty table")
-		}
 	}
 }
 
@@ -136,18 +119,14 @@ func BenchmarkFigure5_Area(b *testing.B) {
 	}
 }
 
-// BenchmarkFigure6_InferencesPerSecond regenerates the 5-model ×
-// 7-accelerator throughput comparison.
-func BenchmarkFigure6_InferencesPerSecond(b *testing.B) {
-	b.ReportAllocs()
-	for i := 0; i < b.N; i++ {
-		rows, err := experiments.Figure6Data()
-		if err != nil {
-			b.Fatal(err)
-		}
-		if len(rows) != 35 {
-			b.Fatal("bad row count")
-		}
+// BenchmarkTrajectory runs each case of the benchmark trajectory (the
+// Table III and Figure 6 regenerations, the bank-kernel sweep, and the
+// training, serving, routing and pipelining pairs) as a sub-benchmark named
+// by its trajectory key, e.g. -bench 'Trajectory/BankMVM$/64x64'.
+// `trident bench` times the same cases and gates their speedups.
+func BenchmarkTrajectory(b *testing.B) {
+	for _, c := range benchio.Suite {
+		b.Run(c.Name, c.Run)
 	}
 }
 
@@ -245,94 +224,6 @@ func BenchmarkGSTProgram(b *testing.B) {
 		if _, err := cell.Program(i%device.GSTLevels, 0); err != nil {
 			b.Fatal(err)
 		}
-	}
-}
-
-// trainBenchBatch is the minibatch size of the training-throughput pair:
-// both benchmarks process exactly trainBenchBatch samples per op, so their
-// ns/op ratio is a per-sample speedup.
-const trainBenchBatch = 32
-
-// trainBenchNet builds the 256→256→classes training benchmark network on
-// 32×32 banks — an 8×8 tile grid on the wide layer, the geometry the ≥2×
-// batched-training gate is measured on.
-func trainBenchNet(b *testing.B) *core.Network {
-	b.Helper()
-	net, err := core.NewNetwork(core.NetworkConfig{
-		PE:           core.PEConfig{Rows: 32, Cols: 32, DisableNoise: true},
-		LearningRate: 0.05,
-	},
-		core.LayerSpec{In: 256, Out: 256, Activate: true},
-		core.LayerSpec{In: 256, Out: 3},
-	)
-	if err != nil {
-		b.Fatal(err)
-	}
-	return net
-}
-
-// BenchmarkTrainStep times trainBenchBatch sequential TrainSample steps
-// (each a TrainBatch of one) per op on the 256×256 layer — the per-sample
-// schedule in which every step pays forward, backward AND the post-update
-// bank reprogram. The reference
-// side of the ≥2× batched-training gate.
-func BenchmarkTrainStep(b *testing.B) {
-	b.Run("256x256", func(b *testing.B) {
-		net := trainBenchNet(b)
-		xs := benchInput(trainBenchBatch*256, 5)
-		b.ReportAllocs()
-		b.ResetTimer()
-		for i := 0; i < b.N; i++ {
-			for s := 0; s < trainBenchBatch; s++ {
-				if _, err := net.TrainSample(xs[s*256:(s+1)*256], s%3); err != nil {
-					b.Fatal(err)
-				}
-			}
-		}
-		b.ReportMetric(float64(b.N)*trainBenchBatch/b.Elapsed().Seconds(), "samples/sec")
-	})
-}
-
-// BenchmarkTrainBatch times one TrainBatch minibatch of the same
-// trainBenchBatch samples per op: one batched forward on resident weights,
-// reprogram-free batched transpose GEMMs, one blocked ΔHᵀ·X contraction and
-// one weight update per layer. The fast side of the ≥2× gate.
-func BenchmarkTrainBatch(b *testing.B) {
-	b.Run("256x256", func(b *testing.B) {
-		net := trainBenchNet(b)
-		xs := benchInput(trainBenchBatch*256, 5)
-		labels := make([]int, trainBenchBatch)
-		for s := range labels {
-			labels[s] = s % 3
-		}
-		b.ReportAllocs()
-		b.ResetTimer()
-		for i := 0; i < b.N; i++ {
-			if _, err := net.TrainBatch(xs, labels); err != nil {
-				b.Fatal(err)
-			}
-		}
-		b.ReportMetric(float64(b.N)*trainBenchBatch/b.Elapsed().Seconds(), "samples/sec")
-	})
-}
-
-// BenchmarkTransposeCompiled times the compiled transpose GEMV — the Wᵀ·δ
-// backward pass served from the shared snapshot's transpose view with zero
-// bank reprogramming — across the bank-geometry sweep.
-func BenchmarkTransposeCompiled(b *testing.B) {
-	for _, size := range bankSizes {
-		b.Run(fmt.Sprintf("%dx%d", size, size), func(b *testing.B) {
-			bank := benchBank(b, size)
-			bank.EnsureTransposeCompiled()
-			delta := benchInput(size, 11)
-			dst := make([]float64, size)
-			b.ReportAllocs()
-			b.ResetTimer()
-			for i := 0; i < b.N; i++ {
-				dst = bank.TransposeMVM(dst, delta)
-			}
-			b.ReportMetric(float64(b.N)/b.Elapsed().Seconds(), "MVMs/sec")
-		})
 	}
 }
 
@@ -465,270 +356,6 @@ func BenchmarkHardwareCNNTrainStep(b *testing.B) {
 	}
 }
 
-// --- bank-kernel and batched-path microbenchmarks ---
-//
-// These feed the benchmark-trajectory harness (`make bench`, `trident
-// bench`): cmd/benchjson parses their output into BENCH_PR6.json and
-// enforces four gates — the factored kernel ≥2× over the reference triple
-// loop on the 64×64 bank, the compiled batch kernel ≥1.5× over the
-// factored kernel on the 256×256 batched MVM, the incremental dirty-row
-// recompile ≥5× over a full snapshot rebuild on the 256×256 bank, and the
-// worker-pool-parallel batch GEMM ≥1.5× over the single-threaded batch on
-// the 256×256 bank (waived below 2 CPUs).
-
-// bankSizes are the square bank geometries the kernel benchmarks sweep: the
-// paper's 16×16 PE bank plus 64- and 256-column stress widths on the
-// extended (multi-comb) channel plan.
-var bankSizes = []int{16, 64, 256}
-
-// benchBank builds a programmed size×size PCM bank for kernel benchmarks.
-func benchBank(b *testing.B, size int) *mrr.WeightBank {
-	b.Helper()
-	plan, err := optics.NewExtendedChannelPlan(size)
-	if err != nil {
-		b.Fatal(err)
-	}
-	bank, err := mrr.NewPCMWeightBank(size, size, plan)
-	if err != nil {
-		b.Fatal(err)
-	}
-	rng := rand.New(rand.NewSource(int64(size)))
-	w := make([][]float64, size)
-	for j := range w {
-		w[j] = make([]float64, size)
-		for i := range w[j] {
-			w[j][i] = rng.Float64()*2 - 1
-		}
-	}
-	if _, err := bank.Program(w, 0); err != nil {
-		b.Fatal(err)
-	}
-	return bank
-}
-
-func benchInput(size int, seed int64) []float64 {
-	rng := rand.New(rand.NewSource(seed))
-	x := make([]float64, size)
-	for i := range x {
-		x[i] = rng.Float64()*2 - 1
-	}
-	return x
-}
-
-// BenchmarkBankMVM times the production bank path, MVM, which serves every
-// pass from the compiled-snapshot GEMV.
-func BenchmarkBankMVM(b *testing.B) {
-	for _, size := range bankSizes {
-		b.Run(fmt.Sprintf("%dx%d", size, size), func(b *testing.B) {
-			bank := benchBank(b, size)
-			x := benchInput(size, 9)
-			dst := make([]float64, size)
-			b.ReportAllocs()
-			b.ResetTimer()
-			for i := 0; i < b.N; i++ {
-				dst = bank.MVM(dst, x)
-			}
-			b.ReportMetric(float64(b.N)/b.Elapsed().Seconds(), "MVMs/sec")
-		})
-	}
-}
-
-// BenchmarkBankMVMCompiled times the compiled-snapshot GEMV kernel through
-// its exported entry point, without MVM's argument handling, so the
-// trajectory records the kernel on its own.
-func BenchmarkBankMVMCompiled(b *testing.B) {
-	for _, size := range bankSizes {
-		b.Run(fmt.Sprintf("%dx%d", size, size), func(b *testing.B) {
-			bank := benchBank(b, size)
-			x := benchInput(size, 9)
-			dst := make([]float64, size)
-			b.ReportAllocs()
-			b.ResetTimer()
-			for i := 0; i < b.N; i++ {
-				dst = bank.CompiledMVM(dst, x)
-			}
-			b.ReportMetric(float64(b.N)/b.Elapsed().Seconds(), "MVMs/sec")
-		})
-	}
-}
-
-// BenchmarkBankMVMFactored times the PR 3 factored kernel — the numerator
-// of the ≥2× factored-vs-reference gate and the baseline the compiled
-// kernel is measured against.
-func BenchmarkBankMVMFactored(b *testing.B) {
-	for _, size := range bankSizes {
-		b.Run(fmt.Sprintf("%dx%d", size, size), func(b *testing.B) {
-			bank := benchBank(b, size)
-			x := benchInput(size, 9)
-			dst := make([]float64, size)
-			b.ReportAllocs()
-			b.ResetTimer()
-			for i := 0; i < b.N; i++ {
-				dst = bank.FactoredMVM(dst, x)
-			}
-			b.ReportMetric(float64(b.N)/b.Elapsed().Seconds(), "MVMs/sec")
-		})
-	}
-}
-
-// BenchmarkBankMVMReference times the reference triple-loop kernel on the
-// same banks — the denominator of the ≥2× trajectory gate.
-func BenchmarkBankMVMReference(b *testing.B) {
-	for _, size := range bankSizes {
-		b.Run(fmt.Sprintf("%dx%d", size, size), func(b *testing.B) {
-			bank := benchBank(b, size)
-			x := benchInput(size, 9)
-			dst := make([]float64, size)
-			b.ReportAllocs()
-			b.ResetTimer()
-			for i := 0; i < b.N; i++ {
-				dst = bank.ReferenceMVM(dst, x)
-			}
-			b.ReportMetric(float64(b.N)/b.Elapsed().Seconds(), "MVMs/sec")
-		})
-	}
-}
-
-// BenchmarkBankMVMBatch streams 32-sample batches through the production
-// bank path (the register-blocked compiled kernel on the default build),
-// reporting per-sample throughput — the numerator of the ≥1.5×
-// compiled-vs-factored batch gate on the 256×256 geometry.
-func BenchmarkBankMVMBatch(b *testing.B) {
-	const batch = 32
-	for _, size := range bankSizes {
-		b.Run(fmt.Sprintf("%dx%d", size, size), func(b *testing.B) {
-			bank := benchBank(b, size)
-			xs := benchInput(batch*size, 9)
-			dst := make([]float64, batch*size)
-			b.ReportAllocs()
-			b.ResetTimer()
-			for i := 0; i < b.N; i++ {
-				dst = bank.MVMBatchInto(dst, xs, batch, size)
-			}
-			b.ReportMetric(float64(b.N)*batch/b.Elapsed().Seconds(), "MVMs/sec")
-		})
-	}
-}
-
-// BenchmarkBankMVMBatchFactored is the batched path pinned to the PR 3
-// factored kernel — the denominator of the compiled-vs-factored batch gate.
-func BenchmarkBankMVMBatchFactored(b *testing.B) {
-	const batch = 32
-	for _, size := range bankSizes {
-		b.Run(fmt.Sprintf("%dx%d", size, size), func(b *testing.B) {
-			bank := benchBank(b, size)
-			xs := benchInput(batch*size, 9)
-			dst := make([]float64, batch*size)
-			b.ReportAllocs()
-			b.ResetTimer()
-			for i := 0; i < b.N; i++ {
-				dst = bank.FactoredMVMBatchInto(dst, xs, batch, size)
-			}
-			b.ReportMetric(float64(b.N)*batch/b.Elapsed().Seconds(), "MVMs/sec")
-		})
-	}
-}
-
-// BenchmarkBankRecompileFull times a whole-snapshot rebuild: RotateRows(0)
-// is a pure whole-bank invalidation (the row map is unchanged, so every
-// iteration recompiles an identical bank), and EnsureCompiled pays the full
-// O(J·N·r) compile. The denominator of the ≥5× incremental-recompile gate;
-// ReportAllocs pins the steady-state zero-allocation contract on the reused
-// weff buffer.
-func BenchmarkBankRecompileFull(b *testing.B) {
-	for _, size := range bankSizes {
-		b.Run(fmt.Sprintf("%dx%d", size, size), func(b *testing.B) {
-			bank := benchBank(b, size)
-			bank.EnsureCompiled()
-			b.ReportAllocs()
-			b.ResetTimer()
-			for i := 0; i < b.N; i++ {
-				bank.RotateRows(0)
-				bank.EnsureCompiled()
-			}
-			b.ReportMetric(float64(b.N)/b.Elapsed().Seconds(), "recompiles/sec")
-		})
-	}
-}
-
-// BenchmarkBankRecompileIncremental times the dirty-row path: one cell
-// override (alternating values so the mutation is never a no-op) dirties a
-// single row, and EnsureCompiled recompiles just that row in place — the
-// reliability scheduler's refresh-a-few-rows regime. The numerator of the
-// ≥5× gate against BenchmarkBankRecompileFull on the 256×256 geometry.
-func BenchmarkBankRecompileIncremental(b *testing.B) {
-	for _, size := range bankSizes {
-		b.Run(fmt.Sprintf("%dx%d", size, size), func(b *testing.B) {
-			bank := benchBank(b, size)
-			bank.EnsureCompiled()
-			b.ReportAllocs()
-			b.ResetTimer()
-			for i := 0; i < b.N; i++ {
-				v := 0.4321
-				if i%2 == 1 {
-					v = -v
-				}
-				bank.OverrideWeight(size/2, size/2, v)
-				bank.EnsureCompiled()
-			}
-			b.ReportMetric(float64(b.N)/b.Elapsed().Seconds(), "recompiles/sec")
-		})
-	}
-}
-
-// BenchmarkBankMVMBatchParallel is BenchmarkBankMVMBatch with the tile
-// engine's worker pool installed as the bank's ParallelFor hook — the
-// configuration every PE-owned bank runs in production. The numerator of
-// the ≥1.5× parallel-batch gate on the 256×256 geometry at GOMAXPROCS
-// workers (the gate is recorded but waived on single-CPU hosts, where no
-// parallel speedup is physically available).
-func BenchmarkBankMVMBatchParallel(b *testing.B) {
-	const batch = 32
-	for _, size := range bankSizes {
-		b.Run(fmt.Sprintf("%dx%d", size, size), func(b *testing.B) {
-			bank := benchBank(b, size)
-			bank.SetParallelFor(core.RunIndexed)
-			xs := benchInput(batch*size, 9)
-			dst := make([]float64, batch*size)
-			b.ReportAllocs()
-			b.ResetTimer()
-			for i := 0; i < b.N; i++ {
-				dst = bank.MVMBatchInto(dst, xs, batch, size)
-			}
-			b.ReportMetric(float64(b.N)*batch/b.Elapsed().Seconds(), "MVMs/sec")
-		})
-	}
-}
-
-// BenchmarkBankProgram times full-bank reprogramming across the same
-// geometry sweep (two alternating weight sets so the compare-first write
-// logic cannot elide the writes).
-func BenchmarkBankProgram(b *testing.B) {
-	for _, size := range bankSizes {
-		b.Run(fmt.Sprintf("%dx%d", size, size), func(b *testing.B) {
-			bank := benchBank(b, size)
-			sets := make([][][]float64, 2)
-			rng := rand.New(rand.NewSource(77))
-			for s := range sets {
-				sets[s] = make([][]float64, size)
-				for j := range sets[s] {
-					sets[s][j] = make([]float64, size)
-					for i := range sets[s][j] {
-						sets[s][j][i] = rng.Float64()*2 - 1
-					}
-				}
-			}
-			b.ReportAllocs()
-			b.ResetTimer()
-			for i := 0; i < b.N; i++ {
-				if _, err := bank.Program(sets[i%2], 0); err != nil {
-					b.Fatal(err)
-				}
-			}
-		})
-	}
-}
-
 // BenchmarkBankGeometryDSE regenerates the weight-bank design-space
 // exploration (25 geometries, each fully re-provisioned and mapped).
 func BenchmarkBankGeometryDSE(b *testing.B) {
@@ -789,269 +416,4 @@ func BenchmarkDeepCNNTrainStep(b *testing.B) {
 			b.Fatal(err)
 		}
 	}
-}
-
-// serveBenchNet builds the serving-benchmark workload: a wider MLP than
-// the unit-test miniatures so the batched forward path has real work to
-// amortize per-request overhead against.
-func serveBenchNet(b *testing.B) *core.Network {
-	b.Helper()
-	net, err := core.NewNetwork(core.NetworkConfig{
-		PE:           core.PEConfig{Rows: 8, Cols: 8, DisableNoise: true},
-		LearningRate: 0.08,
-	},
-		core.LayerSpec{In: 32, Out: 64, Activate: true},
-		core.LayerSpec{In: 64, Out: 8},
-	)
-	if err != nil {
-		b.Fatal(err)
-	}
-	return net
-}
-
-// benchServe drives b.N requests through a serving batcher from
-// serveClients concurrent clients and reports requests/second. The fixed
-// client count models a steady p99-bounded load; the config under test
-// decides whether requests coalesce.
-func benchServe(b *testing.B, cfg serve.Config) {
-	net := serveBenchNet(b)
-	bt := serve.NewBatcher(net.Graph, cfg)
-	defer func() {
-		ctx, cancel := context.WithTimeout(context.Background(), 10*time.Second)
-		defer cancel()
-		if err := bt.Shutdown(ctx); err != nil {
-			b.Error(err)
-		}
-	}()
-	const serveClients = 16
-	rng := rand.New(rand.NewSource(3))
-	inputs := make([][]float64, serveClients)
-	for c := range inputs {
-		x := make([]float64, 32)
-		for i := range x {
-			x[i] = rng.Float64()*2 - 1
-		}
-		inputs[c] = x
-	}
-	b.ResetTimer()
-	var wg sync.WaitGroup
-	var next atomic.Int64
-	for c := 0; c < serveClients; c++ {
-		wg.Add(1)
-		go func(c int) {
-			defer wg.Done()
-			for next.Add(1) <= int64(b.N) {
-				if _, err := bt.Submit(context.Background(), inputs[c]); err != nil {
-					b.Error(err)
-					return
-				}
-			}
-		}(c)
-	}
-	wg.Wait()
-	b.StopTimer()
-	b.ReportMetric(float64(b.N)/b.Elapsed().Seconds(), "req/sec")
-}
-
-// BenchmarkServeBatcher measures serving throughput with micro-batching
-// on: up to 16 concurrent requests coalesce into one batched forward pass.
-func BenchmarkServeBatcher(b *testing.B) {
-	benchServe(b, serve.Config{MaxBatch: 16, MaxWait: 100 * time.Microsecond, QueueCap: 64})
-}
-
-// BenchmarkServeUnbatched is the degenerate-window baseline: the same
-// serving stack forced to one request per engine pass, so the pair
-// isolates exactly what coalescing buys at the same concurrency.
-func BenchmarkServeUnbatched(b *testing.B) {
-	benchServe(b, serve.Config{MaxBatch: 1, MaxWait: 100 * time.Microsecond, QueueCap: 64})
-}
-
-// benchRouter drives b.N routed requests through one model with the given
-// replica count while a churn goroutine forces maintenance-style drains:
-// round-robin over the replicas, it acquires each execute token, holds it
-// ~1ms (a BIST-window stand-in using the exact drain path real
-// maintenance takes), and releases. With one replica every hold stalls
-// the world; with two the router shifts traffic to the warm sibling, so
-// the pair isolates what replica fan-out buys under maintenance churn.
-func benchRouter(b *testing.B, replicas int) {
-	base := serveBenchNet(b)
-	rt := serve.NewRouter()
-	insts := make([]*serve.Instance, replicas)
-	for i := range insts {
-		rep, err := base.Replicate()
-		if err != nil {
-			b.Fatal(err)
-		}
-		inst, err := serve.NewGraphInstance(fmt.Sprintf("m/replica-%d", i), rep.Graph,
-			serve.Config{MaxBatch: 16, MaxWait: 100 * time.Microsecond, QueueCap: 64}, nil)
-		if err != nil {
-			b.Fatal(err)
-		}
-		insts[i] = inst
-	}
-	if err := rt.AddModel("m", insts...); err != nil {
-		b.Fatal(err)
-	}
-	defer func() {
-		ctx, cancel := context.WithTimeout(context.Background(), 10*time.Second)
-		defer cancel()
-		if err := rt.Shutdown(ctx); err != nil {
-			b.Error(err)
-		}
-	}()
-
-	churnCtx, stopChurn := context.WithCancel(context.Background())
-	churnDone := make(chan struct{})
-	go func() {
-		defer close(churnDone)
-		for i := 0; churnCtx.Err() == nil; i++ {
-			inst := insts[i%len(insts)]
-			release, err := inst.Batcher().Acquire(churnCtx)
-			if err != nil {
-				return
-			}
-			select {
-			case <-time.After(time.Millisecond):
-			case <-churnCtx.Done():
-			}
-			release()
-			select {
-			case <-time.After(500 * time.Microsecond):
-			case <-churnCtx.Done():
-			}
-		}
-	}()
-
-	const serveClients = 16
-	rng := rand.New(rand.NewSource(3))
-	inputs := make([][]float64, serveClients)
-	for c := range inputs {
-		x := make([]float64, 32)
-		for i := range x {
-			x[i] = rng.Float64()*2 - 1
-		}
-		inputs[c] = x
-	}
-	b.ResetTimer()
-	var wg sync.WaitGroup
-	var next atomic.Int64
-	for c := 0; c < serveClients; c++ {
-		wg.Add(1)
-		go func(c int) {
-			defer wg.Done()
-			for next.Add(1) <= int64(b.N) {
-				// All replicas draining (single-replica churn window) and
-				// transient backpressure are retried, not failed — the
-				// benchmark measures end-to-end goodput under churn.
-				for {
-					_, err := rt.Submit(context.Background(), "m", inputs[c])
-					if err == nil {
-						break
-					}
-					if errors.Is(err, serve.ErrAllDraining) || errors.Is(err, serve.ErrQueueFull) {
-						time.Sleep(200 * time.Microsecond)
-						continue
-					}
-					b.Error(err)
-					return
-				}
-			}
-		}(c)
-	}
-	wg.Wait()
-	b.StopTimer()
-	stopChurn()
-	<-churnDone
-	b.ReportMetric(float64(b.N)/b.Elapsed().Seconds(), "req/sec")
-}
-
-// BenchmarkRouterOneReplica is the churn baseline: a single replica means
-// every maintenance hold stops the model cold and requests queue or
-// bounce until the window ends.
-func BenchmarkRouterOneReplica(b *testing.B) {
-	benchRouter(b, 1)
-}
-
-// BenchmarkRouterTwoReplicas is the drain-tolerance case: the router
-// shifts traffic to the warm sibling during each hold. The benchjson gate
-// requires ≥1.3× the single-replica throughput, waived below two CPUs
-// where the siblings cannot actually run concurrently.
-func BenchmarkRouterTwoReplicas(b *testing.B) {
-	benchRouter(b, 2)
-}
-
-// pipeBenchBatch is the per-op batch size of the pipelined-execution pair:
-// both benchmarks push exactly this many samples per op, so their ns/op
-// ratio is the batch-throughput speedup of stage pipelining.
-const pipeBenchBatch = 64
-
-// pipeBenchGraph builds the pipelined-throughput workload: a four-conv
-// DeepCNN graph (input, four convs, GAP, dense — seven nodes), deep enough
-// that a 4-stage cut puts real convolution work in every stage. Noise is
-// off so the pair times the execution schedule, not the RNG.
-func pipeBenchGraph(b *testing.B) *core.Graph {
-	b.Helper()
-	d, err := core.NewDeepCNN(core.NetworkConfig{
-		PE:           core.PEConfig{Rows: 8, Cols: 8, DisableNoise: true},
-		LearningRate: 0.1,
-	}, []tensor.Conv2DSpec{
-		{InC: 1, InH: 8, InW: 8, OutC: 4, KH: 3, KW: 3,
-			StrideH: 1, StrideW: 1, PadH: 1, PadW: 1, Groups: 1},
-		{InC: 4, InH: 8, InW: 8, OutC: 6, KH: 3, KW: 3,
-			StrideH: 1, StrideW: 1, PadH: 1, PadW: 1, Groups: 1},
-		{InC: 6, InH: 8, InW: 8, OutC: 6, KH: 3, KW: 3,
-			StrideH: 2, StrideW: 2, PadH: 1, PadW: 1, Groups: 1},
-		{InC: 6, InH: 4, InW: 4, OutC: 8, KH: 3, KW: 3,
-			StrideH: 1, StrideW: 1, PadH: 1, PadW: 1, Groups: 1},
-	}, 3)
-	if err != nil {
-		b.Fatal(err)
-	}
-	return d.Graph
-}
-
-// BenchmarkDeepCNNBatchSequential streams pipeBenchBatch-sample batches
-// through the sequential batched forward path — the reference side of the
-// ≥1.4× pipelined-execution gate.
-func BenchmarkDeepCNNBatchSequential(b *testing.B) {
-	g := pipeBenchGraph(b)
-	xs := benchInput(pipeBenchBatch*g.InputSize(), 13)
-	var dst []float64
-	b.ReportAllocs()
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		var err error
-		if dst, err = g.ForwardBatchInto(dst, xs, pipeBenchBatch); err != nil {
-			b.Fatal(err)
-		}
-	}
-	b.ReportMetric(float64(b.N)*pipeBenchBatch/b.Elapsed().Seconds(), "samples/sec")
-}
-
-// BenchmarkDeepCNNBatchPipelined streams the same batches through a
-// 4-stage pipeline over the same graph shape: each stage owns a contiguous
-// node span on its own simulated chip and micro-batches flow through
-// double-buffered boundaries, so stage k computes micro-batch b while
-// stage k+1 computes b−1. The fast side of the ≥1.4× gate (recorded but
-// waived below four CPUs, where four stages cannot actually overlap).
-func BenchmarkDeepCNNBatchPipelined(b *testing.B) {
-	g := pipeBenchGraph(b)
-	cuts, err := dataflow.PlanStages(g, 4)
-	if err != nil {
-		b.Fatal(err)
-	}
-	p, err := core.NewPipeline(g, cuts, 0)
-	if err != nil {
-		b.Fatal(err)
-	}
-	xs := benchInput(pipeBenchBatch*g.InputSize(), 13)
-	var dst []float64
-	b.ReportAllocs()
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		if dst, err = p.ForwardBatchPipelined(dst, xs, pipeBenchBatch); err != nil {
-			b.Fatal(err)
-		}
-	}
-	b.ReportMetric(float64(b.N)*pipeBenchBatch/b.Elapsed().Seconds(), "samples/sec")
 }

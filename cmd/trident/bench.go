@@ -1,74 +1,40 @@
 package main
 
-// The bench subcommand: the in-process twin of `make bench`. It runs the
-// compiled-, factored- and reference-kernel, batched-path, recompilation and
-// bank-programming microbenchmarks, the compiled-transpose and training
-// benchmarks, two regenerating-table benchmarks, the serving-throughput
-// pair and the routed-replica pair through testing.Benchmark, prints a
-// summary table, writes the same
-// BENCH_PR10.json trajectory schema as cmd/benchjson, and enforces the same
-// speedup gates (factored ≥2× reference on 64×64; compiled batch ≥1.5×
-// factored batch on 256×256; incremental recompile ≥5× full recompile on
-// 256×256; pool-parallel batch ≥1.5× single-threaded batch on 256×256,
-// waived on hosts with a single CPU; micro-batching serve ≥1.2×
-// single-request dispatch in req/sec; batched training ≥2× the sequential
-// per-sample schedule on the 256×256 layer; two-replica routed serving
-// ≥1.3× a single replica under maintenance churn, waived below 2 CPUs;
-// 4-stage pipelined DeepCNN batch execution ≥1.4× the sequential batched
-// path, waived below 4 CPUs) — so a deployment host without
-// the test tree can still measure and gate the hot paths. -cpuprofile /
-// -memprofile capture pprof profiles of the benchmark run for
-// `go tool pprof`. SIGINT/SIGTERM stop the run at a benchmark boundary: the
-// partial trajectory is still written (gates skipped) instead of the run
-// being killed mid-write.
+// The bench subcommand writes the benchmark trajectory: it runs every case
+// of benchio.Suite -count times through testing.Benchmark, folds the runs
+// into min/mean ns/op, applies every gate of benchio.Gates and writes the
+// BENCH_PR10.json trajectory (schema trident-bench/3), exiting non-zero
+// after the write if a gate fails. -cpuprofile / -memprofile capture pprof
+// profiles of the run for `go tool pprof`. SIGINT/SIGTERM stop the run at a
+// benchmark boundary: the partial trajectory is still written (gates
+// skipped) instead of the run being killed mid-write.
 
 import (
 	"context"
-	"errors"
 	"flag"
 	"fmt"
 	"log"
-	"math/rand"
 	"os"
 	"os/signal"
 	"runtime"
 	"runtime/pprof"
-	"sync"
-	"sync/atomic"
 	"syscall"
 	"testing"
-	"time"
 
 	"trident/internal/benchio"
-	"trident/internal/core"
-	"trident/internal/dataflow"
-	"trident/internal/experiments"
-	"trident/internal/mrr"
-	"trident/internal/optics"
-	"trident/internal/report"
-	"trident/internal/serve"
-	"trident/internal/tensor"
 )
-
-// benchBankSizes mirrors the bank-geometry sweep of the go test benchmarks.
-var benchBankSizes = []int{16, 64, 256}
 
 func cmdBench(args []string) {
 	fs := flag.NewFlagSet("bench", flag.ExitOnError)
 	out := fs.String("o", "BENCH_PR10.json", "trajectory file to write")
-	min := fs.Float64("min", 2, "required factored/reference speedup on the 64×64 bank (0 disables the gate)")
-	minBatch := fs.Float64("min-batch", 1.5, "required compiled/factored batch speedup on the 256×256 bank (0 disables the gate)")
-	minRecompile := fs.Float64("min-recompile", 5, "required incremental/full recompile speedup on the 256×256 bank (0 disables the gate)")
-	minParallel := fs.Float64("min-parallel", 1.5, "required parallel/single-threaded batch speedup on the 256×256 bank, waived below 2 CPUs (0 disables the gate)")
-	minServe := fs.Float64("min-serve", 1.2, "required micro-batched/unbatched serving throughput ratio (0 disables the gate)")
-	minTrain := fs.Float64("min-train", 2, "required batched/per-sample training speedup on the 256×256 layer (0 disables the gate)")
-	minRouter := fs.Float64("min-router", 1.3, "required two-replica/one-replica routed throughput ratio under maintenance churn, waived below 2 CPUs (0 disables the gate)")
-	minPipeline := fs.Float64("min-pipeline", 1.4, "required pipelined/sequential DeepCNN batch throughput at 4 stages, waived below 4 CPUs (0 disables the gate)")
-	batch := fs.Int("batch", 32, "batch size for the batched-path benchmarks")
+	count := fs.Int("count", 1, "runs of each benchmark; the file keeps the minimum and mean ns/op")
 	cpuprofile := fs.String("cpuprofile", "", "write a CPU profile of the benchmark run to this file")
 	memprofile := fs.String("memprofile", "", "write an allocation profile taken after the benchmark run to this file")
 	if err := fs.Parse(args); err != nil {
 		log.Fatal(err)
+	}
+	if *count < 1 {
+		log.Fatalf("bench: -count %d, want at least 1", *count)
 	}
 	if *cpuprofile != "" {
 		f, err := os.Create(*cpuprofile)
@@ -86,187 +52,17 @@ func cmdBench(args []string) {
 	ctx, stop := signal.NotifyContext(context.Background(), syscall.SIGINT, syscall.SIGTERM)
 	defer stop()
 
-	rep := &benchio.Report{Schema: benchio.Schema, GoVersion: runtime.Version(),
-		MaxProcs: runtime.GOMAXPROCS(0)}
-	add := func(name string, fn func(b *testing.B)) {
-		if ctx.Err() != nil {
-			return
+	var runs []benchio.Run
+	for _, c := range benchio.Suite {
+		for i := 0; i < *count && ctx.Err() == nil; i++ {
+			r := testing.Benchmark(c.Run)
+			if r.N == 0 {
+				log.Fatalf("bench: %s failed", c.Name)
+			}
+			fmt.Printf("%-44s\t%s\t%s\n", c.Name, r.String(), r.MemString())
+			runs = append(runs, benchio.Run{Name: c.Name, BenchmarkResult: r})
 		}
-		r := testing.Benchmark(fn)
-		ns := float64(r.T.Nanoseconds()) / float64(r.N)
-		res := benchio.Result{
-			Name: name, Runs: 1, NsPerOp: ns, NsPerOpMean: ns,
-			BytesPerOp:  float64(r.AllocedBytesPerOp()),
-			AllocsPerOp: float64(r.AllocsPerOp()),
-			MVMsPerSec:  r.Extra["MVMs/sec"],
-		}
-		rep.Results = append(rep.Results, res)
 	}
-
-	for _, size := range benchBankSizes {
-		size := size
-		bank := newBenchBank(size)
-		x := benchVector(size, 9)
-		dst := make([]float64, size)
-		add(fmt.Sprintf("BenchmarkBankMVM/%dx%d", size, size), func(b *testing.B) {
-			b.ReportAllocs()
-			for i := 0; i < b.N; i++ {
-				dst = bank.MVM(dst, x)
-			}
-			b.ReportMetric(float64(b.N)/b.Elapsed().Seconds(), "MVMs/sec")
-		})
-		add(fmt.Sprintf("BenchmarkBankMVMCompiled/%dx%d", size, size), func(b *testing.B) {
-			b.ReportAllocs()
-			for i := 0; i < b.N; i++ {
-				dst = bank.CompiledMVM(dst, x)
-			}
-			b.ReportMetric(float64(b.N)/b.Elapsed().Seconds(), "MVMs/sec")
-		})
-		add(fmt.Sprintf("BenchmarkBankMVMFactored/%dx%d", size, size), func(b *testing.B) {
-			b.ReportAllocs()
-			for i := 0; i < b.N; i++ {
-				dst = bank.FactoredMVM(dst, x)
-			}
-			b.ReportMetric(float64(b.N)/b.Elapsed().Seconds(), "MVMs/sec")
-		})
-		add(fmt.Sprintf("BenchmarkBankMVMReference/%dx%d", size, size), func(b *testing.B) {
-			b.ReportAllocs()
-			for i := 0; i < b.N; i++ {
-				dst = bank.ReferenceMVM(dst, x)
-			}
-			b.ReportMetric(float64(b.N)/b.Elapsed().Seconds(), "MVMs/sec")
-		})
-		xs := benchVector(*batch*size, 9)
-		bdst := make([]float64, *batch*size)
-		add(fmt.Sprintf("BenchmarkBankMVMBatch/%dx%d", size, size), func(b *testing.B) {
-			b.ReportAllocs()
-			for i := 0; i < b.N; i++ {
-				bdst = bank.MVMBatchInto(bdst, xs, *batch, size)
-			}
-			b.ReportMetric(float64(b.N)*float64(*batch)/b.Elapsed().Seconds(), "MVMs/sec")
-		})
-		add(fmt.Sprintf("BenchmarkBankMVMBatchFactored/%dx%d", size, size), func(b *testing.B) {
-			b.ReportAllocs()
-			for i := 0; i < b.N; i++ {
-				bdst = bank.FactoredMVMBatchInto(bdst, xs, *batch, size)
-			}
-			b.ReportMetric(float64(b.N)*float64(*batch)/b.Elapsed().Seconds(), "MVMs/sec")
-		})
-		// The pool-parallel batch path runs on its own bank so installing the
-		// ParallelFor hook cannot perturb the single-threaded baselines above.
-		pbank := newBenchBank(size)
-		pbank.SetParallelFor(core.RunIndexed)
-		add(fmt.Sprintf("BenchmarkBankMVMBatchParallel/%dx%d", size, size), func(b *testing.B) {
-			b.ReportAllocs()
-			for i := 0; i < b.N; i++ {
-				bdst = pbank.MVMBatchInto(bdst, xs, *batch, size)
-			}
-			b.ReportMetric(float64(b.N)*float64(*batch)/b.Elapsed().Seconds(), "MVMs/sec")
-		})
-		add(fmt.Sprintf("BenchmarkBankRecompileFull/%dx%d", size, size), func(b *testing.B) {
-			bank.EnsureCompiled()
-			b.ReportAllocs()
-			for i := 0; i < b.N; i++ {
-				bank.RotateRows(0) // pure whole-bank invalidation
-				bank.EnsureCompiled()
-			}
-		})
-		add(fmt.Sprintf("BenchmarkBankRecompileIncremental/%dx%d", size, size), func(b *testing.B) {
-			bank.EnsureCompiled()
-			b.ReportAllocs()
-			for i := 0; i < b.N; i++ {
-				v := 0.4321
-				if i%2 == 1 {
-					v = -v
-				}
-				bank.OverrideWeight(size/2, size/2, v)
-				bank.EnsureCompiled()
-			}
-		})
-		sets := benchWeightSets(size)
-		add(fmt.Sprintf("BenchmarkBankProgram/%dx%d", size, size), func(b *testing.B) {
-			b.ReportAllocs()
-			for i := 0; i < b.N; i++ {
-				if _, err := bank.Program(sets[i%2], 0); err != nil {
-					b.Fatal(err)
-				}
-			}
-		})
-	}
-	// The compiled-transpose backward kernel: Wᵀ·δ from the shared
-	// snapshot's transpose view, zero bank reprogramming.
-	for _, size := range benchBankSizes {
-		size := size
-		bank := newBenchBank(size)
-		bank.EnsureTransposeCompiled()
-		delta := benchVector(size, 11)
-		tdst := make([]float64, size)
-		add(fmt.Sprintf("BenchmarkTransposeCompiled/%dx%d", size, size), func(b *testing.B) {
-			b.ReportAllocs()
-			for i := 0; i < b.N; i++ {
-				tdst = bank.TransposeMVM(tdst, delta)
-			}
-			b.ReportMetric(float64(b.N)/b.Elapsed().Seconds(), "MVMs/sec")
-		})
-	}
-	// The training pair: both process the same 32 samples per op, so their
-	// ns/op ratio is the per-sample speedup of minibatch training.
-	add("BenchmarkTrainStep/256x256", func(b *testing.B) {
-		benchTrainStep(b, false)
-	})
-	add("BenchmarkTrainBatch/256x256", func(b *testing.B) {
-		benchTrainStep(b, true)
-	})
-	// Regenerating-table benchmarks: the paper artifacts the trajectory
-	// tracks alongside the kernels.
-	add("BenchmarkTableIII_PowerBreakdown", func(b *testing.B) {
-		b.ReportAllocs()
-		for i := 0; i < b.N; i++ {
-			if t := experiments.TableIII(); len(t.Rows) == 0 {
-				b.Fatal("empty table")
-			}
-		}
-	})
-	add("BenchmarkFigure6_InferencesPerSecond", func(b *testing.B) {
-		b.ReportAllocs()
-		for i := 0; i < b.N; i++ {
-			rows, err := experiments.Figure6Data()
-			if err != nil {
-				b.Fatal(err)
-			}
-			if len(rows) != 35 {
-				b.Fatal("bad row count")
-			}
-		}
-	})
-	// Serving throughput pair: the same batcher machinery with coalescing
-	// on (≤16 requests per forward pass) vs forced to one request per
-	// pass, 16 concurrent clients each way — the ratio is exactly what
-	// micro-batching buys.
-	add("BenchmarkServeBatcher", func(b *testing.B) {
-		benchServeThroughput(b, serve.Config{MaxBatch: 16, MaxWait: 100 * time.Microsecond, QueueCap: 64})
-	})
-	add("BenchmarkServeUnbatched", func(b *testing.B) {
-		benchServeThroughput(b, serve.Config{MaxBatch: 1, MaxWait: 100 * time.Microsecond, QueueCap: 64})
-	})
-	// Routed serving pair under maintenance churn: one replica (every
-	// drain stops the model) vs two (the router shifts to the warm
-	// sibling) — the ratio is what replica fan-out buys.
-	add("BenchmarkRouterOneReplica", func(b *testing.B) {
-		benchRouterThroughput(b, 1)
-	})
-	add("BenchmarkRouterTwoReplicas", func(b *testing.B) {
-		benchRouterThroughput(b, 2)
-	})
-	// Pipelined-execution pair: the same 4-conv DeepCNN batch through the
-	// sequential batched forward vs a 4-stage pipeline with double-buffered
-	// boundaries — the ratio is what stage-sharded overlap buys.
-	add("BenchmarkDeepCNNBatchSequential", func(b *testing.B) {
-		benchDeepCNNBatch(b, false)
-	})
-	add("BenchmarkDeepCNNBatchPipelined", func(b *testing.B) {
-		benchDeepCNNBatch(b, true)
-	})
 
 	// Profiles cover only the benchmark work above; stop/write them before
 	// gating so a failed gate (log.Fatal skips defers) still leaves usable
@@ -286,72 +82,25 @@ func cmdBench(args []string) {
 		f.Close()
 	}
 
+	rep := &benchio.Report{Schema: benchio.Schema, GoVersion: runtime.Version(),
+		MaxProcs: runtime.GOMAXPROCS(0), Results: benchio.Fold(runs)}
 	// A partial sweep cannot be gated fairly: the interrupted trajectory is
-	// still written below, but the speedup gates are skipped because their
-	// reference benchmarks may be missing.
+	// still written, but the gates are skipped because their reference
+	// benchmarks may be missing.
 	interrupted := ctx.Err() != nil
-	if interrupted {
-		*min, *minBatch, *minRecompile, *minParallel, *minServe, *minTrain, *minRouter, *minPipeline = 0, 0, 0, 0, 0, 0, 0, 0
-	}
-	if *min > 0 {
-		if err := rep.ApplyGate("BenchmarkBankMVMFactored/64x64", "BenchmarkBankMVMReference/64x64", *min); err != nil {
-			log.Fatal(err)
-		}
-	}
-	if *minBatch > 0 {
-		if err := rep.ApplyGate("BenchmarkBankMVMBatch/256x256", "BenchmarkBankMVMBatchFactored/256x256", *minBatch); err != nil {
-			log.Fatal(err)
-		}
-	}
-	if *minRecompile > 0 {
-		if err := rep.ApplyGate("BenchmarkBankRecompileIncremental/256x256", "BenchmarkBankRecompileFull/256x256", *minRecompile); err != nil {
-			log.Fatal(err)
-		}
-	}
-	if *minParallel > 0 {
-		if err := rep.ApplyParallelGate("BenchmarkBankMVMBatchParallel/256x256", "BenchmarkBankMVMBatch/256x256",
-			*minParallel, rep.MaxProcs, 2); err != nil {
-			log.Fatal(err)
-		}
-	}
-	if *minServe > 0 {
-		if err := rep.ApplyGate("BenchmarkServeBatcher", "BenchmarkServeUnbatched", *minServe); err != nil {
-			log.Fatal(err)
-		}
-	}
-	if *minTrain > 0 {
-		if err := rep.ApplyGate("BenchmarkTrainBatch/256x256", "BenchmarkTrainStep/256x256", *minTrain); err != nil {
-			log.Fatal(err)
-		}
-	}
-	if *minRouter > 0 {
-		if err := rep.ApplyParallelGate("BenchmarkRouterTwoReplicas", "BenchmarkRouterOneReplica",
-			*minRouter, rep.MaxProcs, 2); err != nil {
-			log.Fatal(err)
-		}
-	}
-	if *minPipeline > 0 {
-		if err := rep.ApplyParallelGate("BenchmarkDeepCNNBatchPipelined", "BenchmarkDeepCNNBatchSequential",
-			*minPipeline, rep.MaxProcs, 4); err != nil {
-			log.Fatal(err)
+	if !interrupted {
+		for _, g := range benchio.Gates {
+			if err := rep.ApplyGate(g); err != nil {
+				log.Fatal(err)
+			}
 		}
 	}
 	if err := benchio.WriteFile(*out, rep); err != nil {
 		log.Fatal(err)
 	}
-
-	t := report.NewTable("hot-path benchmarks", "benchmark", "ns/op", "MVMs/sec", "allocs/op")
-	for _, r := range rep.Results {
-		mvms := "-"
-		if r.MVMsPerSec > 0 {
-			mvms = fmt.Sprintf("%.0f", r.MVMsPerSec)
-		}
-		t.AddRow(r.Name, fmt.Sprintf("%.0f", r.NsPerOp), mvms, fmt.Sprintf("%.0f", r.AllocsPerOp))
-	}
-	fmt.Print(t.String())
-	fmt.Printf("wrote %s\n", *out)
+	fmt.Printf("wrote %s (%d benchmarks)\n", *out, len(rep.Results))
 	if interrupted {
-		fmt.Printf("interrupted: partial trajectory (%d benchmarks); speedup gates skipped\n", len(rep.Results))
+		fmt.Println("interrupted: partial trajectory; speedup gates skipped")
 		return
 	}
 	for _, g := range rep.Gates {
@@ -364,296 +113,4 @@ func cmdBench(args []string) {
 	if !rep.GatesPassed() {
 		log.Fatal("speedup gate FAILED")
 	}
-}
-
-// benchTrainStep drives 32 training samples per op through the 256→256→3
-// benchmark network on 32×32 banks: batched=false pays the sequential
-// TrainSample schedule (forward, backward and a bank reprogram per sample),
-// batched=true runs them as one TrainBatch minibatch on resident weights.
-func benchTrainStep(b *testing.B, batched bool) {
-	const batch, dim = 32, 256
-	net, err := core.NewNetwork(core.NetworkConfig{
-		PE:           core.PEConfig{Rows: 32, Cols: 32, DisableNoise: true},
-		LearningRate: 0.05,
-	},
-		core.LayerSpec{In: dim, Out: dim, Activate: true},
-		core.LayerSpec{In: dim, Out: 3},
-	)
-	if err != nil {
-		b.Fatal(err)
-	}
-	xs := benchVector(batch*dim, 5)
-	labels := make([]int, batch)
-	for s := range labels {
-		labels[s] = s % 3
-	}
-	b.ReportAllocs()
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		if batched {
-			if _, err := net.TrainBatch(xs, labels); err != nil {
-				b.Fatal(err)
-			}
-		} else {
-			for s := 0; s < batch; s++ {
-				if _, err := net.TrainSample(xs[s*dim:(s+1)*dim], labels[s]); err != nil {
-					b.Fatal(err)
-				}
-			}
-		}
-	}
-	b.ReportMetric(float64(b.N)*batch/b.Elapsed().Seconds(), "samples/sec")
-}
-
-// benchDeepCNNBatch pushes 64-sample batches through a four-conv DeepCNN
-// graph (noise off): pipelined=false pays the sequential batched forward,
-// pipelined=true shards the graph into a balanced 4-stage pipeline and
-// streams micro-batches through double-buffered boundaries. Both sides
-// process the same samples per op, so their ns/op ratio is the
-// batch-throughput speedup of stage pipelining — the in-process twin of
-// the BenchmarkDeepCNNBatch pair in the test tree.
-func benchDeepCNNBatch(b *testing.B, pipelined bool) {
-	const pipeBatch = 64
-	d, err := core.NewDeepCNN(core.NetworkConfig{
-		PE:           core.PEConfig{Rows: 8, Cols: 8, DisableNoise: true},
-		LearningRate: 0.1,
-	}, []tensor.Conv2DSpec{
-		{InC: 1, InH: 8, InW: 8, OutC: 4, KH: 3, KW: 3,
-			StrideH: 1, StrideW: 1, PadH: 1, PadW: 1, Groups: 1},
-		{InC: 4, InH: 8, InW: 8, OutC: 6, KH: 3, KW: 3,
-			StrideH: 1, StrideW: 1, PadH: 1, PadW: 1, Groups: 1},
-		{InC: 6, InH: 8, InW: 8, OutC: 6, KH: 3, KW: 3,
-			StrideH: 2, StrideW: 2, PadH: 1, PadW: 1, Groups: 1},
-		{InC: 6, InH: 4, InW: 4, OutC: 8, KH: 3, KW: 3,
-			StrideH: 1, StrideW: 1, PadH: 1, PadW: 1, Groups: 1},
-	}, 3)
-	if err != nil {
-		b.Fatal(err)
-	}
-	g := d.Graph
-	var p *core.Pipeline
-	if pipelined {
-		cuts, err := dataflow.PlanStages(g, 4)
-		if err != nil {
-			b.Fatal(err)
-		}
-		if p, err = core.NewPipeline(g, cuts, 0); err != nil {
-			b.Fatal(err)
-		}
-	}
-	xs := benchVector(pipeBatch*g.InputSize(), 13)
-	var dst []float64
-	b.ReportAllocs()
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		if pipelined {
-			dst, err = p.ForwardBatchPipelined(dst, xs, pipeBatch)
-		} else {
-			dst, err = g.ForwardBatchInto(dst, xs, pipeBatch)
-		}
-		if err != nil {
-			b.Fatal(err)
-		}
-	}
-	b.ReportMetric(float64(b.N)*pipeBatch/b.Elapsed().Seconds(), "samples/sec")
-}
-
-// newBenchBank builds a programmed size×size PCM bank on the extended
-// channel plan (widths past one comb are benchmark-only stress geometries).
-func newBenchBank(size int) *mrr.WeightBank {
-	plan, err := optics.NewExtendedChannelPlan(size)
-	if err != nil {
-		log.Fatal(err)
-	}
-	bank, err := mrr.NewPCMWeightBank(size, size, plan)
-	if err != nil {
-		log.Fatal(err)
-	}
-	rng := rand.New(rand.NewSource(int64(size)))
-	w := make([][]float64, size)
-	for j := range w {
-		w[j] = make([]float64, size)
-		for i := range w[j] {
-			w[j][i] = rng.Float64()*2 - 1
-		}
-	}
-	if _, err := bank.Program(w, 0); err != nil {
-		log.Fatal(err)
-	}
-	return bank
-}
-
-func benchVector(n int, seed int64) []float64 {
-	rng := rand.New(rand.NewSource(seed))
-	x := make([]float64, n)
-	for i := range x {
-		x[i] = rng.Float64()*2 - 1
-	}
-	return x
-}
-
-// benchServeThroughput drives b.N requests through a serving batcher from
-// 16 concurrent clients and reports requests/second — the in-process twin
-// of the BenchmarkServe pair in the test tree.
-func benchServeThroughput(b *testing.B, cfg serve.Config) {
-	net, err := core.NewNetwork(core.NetworkConfig{
-		PE:           core.PEConfig{Rows: 8, Cols: 8, DisableNoise: true},
-		LearningRate: 0.08,
-	},
-		core.LayerSpec{In: 32, Out: 64, Activate: true},
-		core.LayerSpec{In: 64, Out: 8})
-	if err != nil {
-		b.Fatal(err)
-	}
-	bt := serve.NewBatcher(net.Graph, cfg)
-	defer func() {
-		ctx, cancel := context.WithTimeout(context.Background(), 10*time.Second)
-		defer cancel()
-		if err := bt.Shutdown(ctx); err != nil {
-			b.Error(err)
-		}
-	}()
-	const serveClients = 16
-	rng := rand.New(rand.NewSource(3))
-	inputs := make([][]float64, serveClients)
-	for c := range inputs {
-		x := make([]float64, 32)
-		for i := range x {
-			x[i] = rng.Float64()*2 - 1
-		}
-		inputs[c] = x
-	}
-	b.ResetTimer()
-	var wg sync.WaitGroup
-	var next atomic.Int64
-	for c := 0; c < serveClients; c++ {
-		wg.Add(1)
-		go func(c int) {
-			defer wg.Done()
-			for next.Add(1) <= int64(b.N) {
-				if _, err := bt.Submit(context.Background(), inputs[c]); err != nil {
-					b.Error(err)
-					return
-				}
-			}
-		}(c)
-	}
-	wg.Wait()
-	b.StopTimer()
-	b.ReportMetric(float64(b.N)/b.Elapsed().Seconds(), "req/sec")
-}
-
-// benchRouterThroughput mirrors the router benchmark pair from the test
-// tree: b.N routed requests through one model with the given replica
-// count while a churn goroutine round-robins maintenance-style drains
-// (1ms token holds) across the replicas. The two-vs-one replica ratio is
-// what drain-tolerant routing buys under maintenance churn.
-func benchRouterThroughput(b *testing.B, replicas int) {
-	base, err := core.NewNetwork(core.NetworkConfig{
-		PE:           core.PEConfig{Rows: 8, Cols: 8, DisableNoise: true},
-		LearningRate: 0.08,
-	},
-		core.LayerSpec{In: 32, Out: 64, Activate: true},
-		core.LayerSpec{In: 64, Out: 8})
-	if err != nil {
-		b.Fatal(err)
-	}
-	rt := serve.NewRouter()
-	insts := make([]*serve.Instance, replicas)
-	for i := range insts {
-		rep, err := base.Replicate()
-		if err != nil {
-			b.Fatal(err)
-		}
-		inst, err := serve.NewGraphInstance(fmt.Sprintf("m/replica-%d", i), rep.Graph,
-			serve.Config{MaxBatch: 16, MaxWait: 100 * time.Microsecond, QueueCap: 64}, nil)
-		if err != nil {
-			b.Fatal(err)
-		}
-		insts[i] = inst
-	}
-	if err := rt.AddModel("m", insts...); err != nil {
-		b.Fatal(err)
-	}
-	defer func() {
-		ctx, cancel := context.WithTimeout(context.Background(), 10*time.Second)
-		defer cancel()
-		if err := rt.Shutdown(ctx); err != nil {
-			b.Error(err)
-		}
-	}()
-	churnCtx, stopChurn := context.WithCancel(context.Background())
-	churnDone := make(chan struct{})
-	go func() {
-		defer close(churnDone)
-		for i := 0; churnCtx.Err() == nil; i++ {
-			release, err := insts[i%len(insts)].Batcher().Acquire(churnCtx)
-			if err != nil {
-				return
-			}
-			select {
-			case <-time.After(time.Millisecond):
-			case <-churnCtx.Done():
-			}
-			release()
-			select {
-			case <-time.After(500 * time.Microsecond):
-			case <-churnCtx.Done():
-			}
-		}
-	}()
-	defer func() { stopChurn(); <-churnDone }()
-	const serveClients = 16
-	rng := rand.New(rand.NewSource(3))
-	inputs := make([][]float64, serveClients)
-	for c := range inputs {
-		x := make([]float64, 32)
-		for i := range x {
-			x[i] = rng.Float64()*2 - 1
-		}
-		inputs[c] = x
-	}
-	b.ResetTimer()
-	var wg sync.WaitGroup
-	var next atomic.Int64
-	for c := 0; c < serveClients; c++ {
-		wg.Add(1)
-		go func(c int) {
-			defer wg.Done()
-			for next.Add(1) <= int64(b.N) {
-				for {
-					_, err := rt.Submit(context.Background(), "m", inputs[c])
-					if err == nil {
-						break
-					}
-					if errors.Is(err, serve.ErrAllDraining) || errors.Is(err, serve.ErrQueueFull) {
-						time.Sleep(200 * time.Microsecond)
-						continue
-					}
-					b.Error(err)
-					return
-				}
-			}
-		}(c)
-	}
-	wg.Wait()
-	b.StopTimer()
-	b.ReportMetric(float64(b.N)/b.Elapsed().Seconds(), "req/sec")
-}
-
-// benchWeightSets returns two alternating weight matrices so repeated
-// Program calls cannot be elided by the compare-first write logic.
-func benchWeightSets(size int) [][][]float64 {
-	rng := rand.New(rand.NewSource(77))
-	sets := make([][][]float64, 2)
-	for s := range sets {
-		sets[s] = make([][]float64, size)
-		for j := range sets[s] {
-			sets[s][j] = make([]float64, size)
-			for i := range sets[s][j] {
-				sets[s][j][i] = rng.Float64()*2 - 1
-			}
-		}
-	}
-	return sets
 }

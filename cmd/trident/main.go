@@ -8,7 +8,7 @@
 //	trident train  [-model mlp|branched] [-samples 600] [-hidden 16] [-epochs 10] [-batch 1] [-noise] [-lifetime]
 //	trident serve  [-addr localhost:8089] [-model blobs] [-models blobs,spirals] [-replicas 2] [-batch 16] [-wait 2ms] [-queue 64] [-maint 30s] [-chaos]
 //	trident sweep  [-model ResNet-50]
-//	trident bench  [-o BENCH_PR9.json] [-min 2] [-min-batch 1.5] [-min-recompile 5] [-min-parallel 1.5] [-min-serve 1.2] [-min-router 1.3] [-batch 32] [-cpuprofile cpu.pprof] [-memprofile mem.pprof]
+//	trident bench  [-o BENCH_PR10.json] [-count 6] [-cpuprofile cpu.pprof] [-memprofile mem.pprof]
 //	trident devices
 package main
 
@@ -81,7 +81,8 @@ commands:
   cache    analyze on-chip memory behaviour for one model
   export   train in-situ and save the network state; verify a reload round-trip
   trace    write a Chrome trace of the weight-stationary schedule
-  bench    run hot-path microbenchmarks; write the BENCH_PR9.json trajectory
+  bench    run the benchmark trajectory, write BENCH_PR10.json and enforce
+           its speedup gates (-count N runs each benchmark N times)
   devices  print the device parameter sheet`)
 	os.Exit(2)
 }

@@ -1,29 +1,24 @@
-// Package benchio is the benchmark-trajectory format: it parses `go test
-// -bench` output into aggregated per-benchmark results and writes the
-// machine-readable trajectory file (BENCH_PR6.json) that `make bench`, the
-// cmd/benchjson gate and the `trident bench` subcommand all share, so each
-// kernel's speedup over its baseline is recorded — and enforced — the same
-// way no matter which entry point produced the numbers. A trajectory can
-// carry several gates (schema trident-bench/3): the PR 6 file gates the
-// factored kernel against the reference triple loop, the compiled batch
-// kernel against the factored one, the incremental dirty-row recompile
-// against a full rebuild, and the worker-pool-parallel batch GEMM against
-// the single-threaded one. The parallel gate carries a minimum-processor
-// requirement: on hosts with fewer logical CPUs than MinProcs (where no
-// parallel speedup is physically available) the measured ratio is still
-// recorded but the gate is marked waived and does not fail the build —
-// multi-core CI enforces it for real.
+// Package benchio is the benchmark trajectory: the suite of hot-path
+// benchmarks (Suite), the speedup gates over it (Gates), and the
+// machine-readable trajectory file (schema trident-bench/3, BENCH_PR*.json)
+// that `trident bench` writes. The suite covers the GST-tuned MRR
+// weight-bank kernels, dirty-row recompilation and GST programming, in-situ
+// training with the reprogram-free backward pass, the serving and routing
+// front-ends and pipelined execution; `trident bench` runs each case
+// through testing.Benchmark, folds the repeated runs (Fold), applies every
+// gate and writes the file, and `go test -bench Trajectory` in the module
+// root reaches the same cases for ad-hoc runs and profiling. A gate with a
+// minimum processor count is a parallelism gate: on hosts with fewer
+// logical CPUs (where no parallel speedup is physically available) the
+// measured ratio is still recorded but the gate is marked waived and does
+// not fail the build — multi-core CI enforces it for real.
 package benchio
 
 import (
-	"bufio"
 	"encoding/json"
 	"fmt"
-	"io"
 	"os"
-	"regexp"
-	"strconv"
-	"strings"
+	"testing"
 )
 
 // Result is one benchmark series aggregated across -count repetitions.
@@ -73,91 +68,38 @@ type Report struct {
 // record (MaxProcs) and waivable parallelism gates (MinProcs/Waived).
 const Schema = "trident-bench/3"
 
-// procSuffix strips the trailing -GOMAXPROCS from a benchmark name, so the
-// same benchmark aggregates under one key on any host.
-var procSuffix = regexp.MustCompile(`-\d+$`)
-
-// accum collects one benchmark's repetitions during parsing.
-type accum struct {
-	runs                  int
-	nsMin, nsSum          float64
-	bytesMax, allocsMax   float64
-	mvmsMax               float64
-	haveBytes, haveAllocs bool
+// Run is one testing.Benchmark run of a named case.
+type Run struct {
+	Name string
+	testing.BenchmarkResult
 }
 
-// Parse reads `go test -bench` output and aggregates repeated runs of each
-// benchmark: minimum and mean ns/op, maximum MVMs/sec, maximum B/op and
-// allocs/op. Results keep first-appearance order. Non-benchmark lines are
-// ignored, so the full `go test` stream can be piped in unfiltered.
-func Parse(r io.Reader) ([]Result, error) {
-	sc := bufio.NewScanner(r)
-	sc.Buffer(make([]byte, 1024*1024), 1024*1024)
-	byName := map[string]*accum{}
-	var order []string
-	for sc.Scan() {
-		fields := strings.Fields(sc.Text())
-		if len(fields) < 3 || !strings.HasPrefix(fields[0], "Benchmark") {
-			continue
+// Fold aggregates repeated runs of each case into one Result per name, in
+// first-run order: minimum and mean ns/op, maximum MVMs/sec, maximum B/op
+// and allocs/op. Every run must have completed at least one iteration.
+func Fold(runs []Run) []Result {
+	var out []Result
+	index := map[string]int{}
+	for _, r := range runs {
+		ns := float64(r.T.Nanoseconds()) / float64(r.N)
+		i, ok := index[r.Name]
+		if !ok {
+			i = len(out)
+			index[r.Name] = i
+			out = append(out, Result{Name: r.Name, NsPerOp: ns})
 		}
-		name := procSuffix.ReplaceAllString(fields[0], "")
-		if _, err := strconv.Atoi(fields[1]); err != nil {
-			continue // PASS/FAIL summary lines etc.
-		}
-		a := byName[name]
-		if a == nil {
-			a = &accum{}
-			byName[name] = a
-			order = append(order, name)
-		}
-		a.runs++
-		// The remainder is value-unit pairs: "785.1 ns/op 1273814 MVMs/sec
-		// 0 B/op 0 allocs/op".
-		for i := 2; i+1 < len(fields); i += 2 {
-			v, err := strconv.ParseFloat(fields[i], 64)
-			if err != nil {
-				return nil, fmt.Errorf("benchio: %s: bad value %q", name, fields[i])
-			}
-			switch fields[i+1] {
-			case "ns/op":
-				if a.runs == 1 || v < a.nsMin {
-					a.nsMin = v
-				}
-				a.nsSum += v
-			case "B/op":
-				a.haveBytes = true
-				if v > a.bytesMax {
-					a.bytesMax = v
-				}
-			case "allocs/op":
-				a.haveAllocs = true
-				if v > a.allocsMax {
-					a.allocsMax = v
-				}
-			case "MVMs/sec":
-				if v > a.mvmsMax {
-					a.mvmsMax = v
-				}
-			}
-		}
+		res := &out[i]
+		res.Runs++
+		res.NsPerOp = min(res.NsPerOp, ns)
+		res.NsPerOpMean += ns // summed here, divided below
+		res.BytesPerOp = max(res.BytesPerOp, float64(r.AllocedBytesPerOp()))
+		res.AllocsPerOp = max(res.AllocsPerOp, float64(r.AllocsPerOp()))
+		res.MVMsPerSec = max(res.MVMsPerSec, r.Extra["MVMs/sec"])
 	}
-	if err := sc.Err(); err != nil {
-		return nil, fmt.Errorf("benchio: %w", err)
+	for i := range out {
+		out[i].NsPerOpMean /= float64(out[i].Runs)
 	}
-	out := make([]Result, 0, len(order))
-	for _, name := range order {
-		a := byName[name]
-		out = append(out, Result{
-			Name:        name,
-			Runs:        a.runs,
-			NsPerOp:     a.nsMin,
-			NsPerOpMean: a.nsSum / float64(a.runs),
-			BytesPerOp:  a.bytesMax,
-			AllocsPerOp: a.allocsMax,
-			MVMsPerSec:  a.mvmsMax,
-		})
-	}
-	return out, nil
+	return out
 }
 
 // Find returns the result with the given name, or nil.
@@ -170,49 +112,34 @@ func (rep *Report) Find(name string) *Result {
 	return nil
 }
 
-// ApplyGate computes ref/fast speedup from the two named results and appends
-// the pass/fail verdict against the required factor to the report's gate
-// list. It errors when either benchmark is missing from the report — an
-// absent gate benchmark must fail the build, not silently pass it.
-func (rep *Report) ApplyGate(fast, ref string, required float64) error {
-	f := rep.Find(fast)
+// ApplyGate computes the ref/fast speedup of spec's two results and
+// appends spec, with its measured speedup and verdict, to the report's gate
+// list. A gate with MinProcs > rep.MaxProcs is recorded waived and passes,
+// since a host without that many CPUs cannot demonstrate the parallel
+// speedup; MinProcs == 0 always binds. It errors when either benchmark is
+// missing from the report — an absent gate benchmark must fail the build,
+// not silently pass it.
+func (rep *Report) ApplyGate(spec Gate) error {
+	f := rep.Find(spec.Fast)
 	if f == nil {
-		return fmt.Errorf("benchio: gate benchmark %q not in report", fast)
+		return fmt.Errorf("benchio: gate benchmark %q not in report", spec.Fast)
 	}
-	g := rep.Find(ref)
+	g := rep.Find(spec.Ref)
 	if g == nil {
-		return fmt.Errorf("benchio: gate benchmark %q not in report", ref)
+		return fmt.Errorf("benchio: gate benchmark %q not in report", spec.Ref)
 	}
 	if f.NsPerOp <= 0 {
-		return fmt.Errorf("benchio: gate benchmark %q has no timing", fast)
+		return fmt.Errorf("benchio: gate benchmark %q has no timing", spec.Fast)
 	}
-	speedup := g.NsPerOp / f.NsPerOp
-	rep.Gates = append(rep.Gates, Gate{Fast: fast, Ref: ref, Required: required,
-		Speedup: speedup, Passed: speedup >= required})
-	return nil
-}
-
-// ApplyParallelGate is ApplyGate for a parallelism requirement: procs is the
-// host's logical CPU count (typically runtime.GOMAXPROCS(0)) and minProcs
-// the smallest count at which the speedup is physically demonstrable. On a
-// host below minProcs the measured ratio is still recorded, but the gate is
-// marked waived and passes unconditionally; at or above minProcs it behaves
-// exactly like ApplyGate.
-func (rep *Report) ApplyParallelGate(fast, ref string, required float64, procs, minProcs int) error {
-	if err := rep.ApplyGate(fast, ref, required); err != nil {
-		return err
-	}
-	g := &rep.Gates[len(rep.Gates)-1]
-	g.MinProcs = minProcs
-	if procs < minProcs {
-		g.Waived = true
-		g.Passed = true
-	}
+	spec.Speedup = g.NsPerOp / f.NsPerOp
+	spec.Waived = rep.MaxProcs < spec.MinProcs
+	spec.Passed = spec.Waived || spec.Speedup >= spec.Required
+	rep.Gates = append(rep.Gates, spec)
 	return nil
 }
 
 // GatesPassed reports whether every recorded gate passed. A report with no
-// gates passes vacuously — disabling the gates is an explicit caller choice.
+// gates passes vacuously.
 func (rep *Report) GatesPassed() bool {
 	for _, g := range rep.Gates {
 		if !g.Passed {

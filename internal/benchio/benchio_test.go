@@ -3,34 +3,42 @@ package benchio
 import (
 	"os"
 	"path/filepath"
+	"slices"
 	"strings"
 	"testing"
+	"time"
 )
 
-const sample = `goos: linux
-goarch: amd64
-pkg: trident
-cpu: Intel(R) Xeon(R) Processor @ 2.10GHz
-BenchmarkBankMVM/64x64-8    	   19147	     13259 ns/op	     75422 MVMs/sec	       0 B/op	       0 allocs/op
-BenchmarkBankMVM/64x64-8    	   20000	     12800 ns/op	     78000 MVMs/sec	       0 B/op	       0 allocs/op
-BenchmarkBankMVMReference/64x64-8	     487	    457775 ns/op	      2185 MVMs/sec	       0 B/op	       0 allocs/op
-BenchmarkBankProgram/16x16-8    	    5000	    240000 ns/op	    1024 B/op	       2 allocs/op
-PASS
-ok  	trident	3.600s
-`
+// sampleRuns are four runs of three cases: BankMVM runs twice, first at
+// 13259 ns/op with 1 alloc of 64 B per op, then at 12800 ns/op with none.
+var sampleRuns = []Run{
+	{"BenchmarkBankMVM/64x64", testing.BenchmarkResult{N: 1000, T: 13259 * time.Microsecond,
+		MemAllocs: 1000, MemBytes: 64000, Extra: map[string]float64{"MVMs/sec": 75422}}},
+	{"BenchmarkBankMVMReference/64x64", testing.BenchmarkResult{N: 100, T: 45777500 * time.Nanosecond,
+		Extra: map[string]float64{"MVMs/sec": 2185}}},
+	{"BenchmarkBankMVM/64x64", testing.BenchmarkResult{N: 2000, T: 25600 * time.Microsecond,
+		Extra: map[string]float64{"MVMs/sec": 78000}}},
+	{"BenchmarkBankProgram/16x16", testing.BenchmarkResult{N: 5000, T: 1200 * time.Millisecond,
+		MemAllocs: 10000, MemBytes: 5000 * 1024}},
+}
 
-func TestParseAggregates(t *testing.T) {
-	results, err := Parse(strings.NewReader(sample))
-	if err != nil {
-		t.Fatal(err)
+// sampleReport is the folded sampleRuns: BankMVM at 12800 ns/op, the
+// reference at 457775 ns/op.
+func sampleReport(maxProcs int) *Report {
+	return &Report{Schema: Schema, MaxProcs: maxProcs, Results: Fold(sampleRuns)}
+}
+
+func TestFoldRuns(t *testing.T) {
+	results := Fold(sampleRuns)
+	var names []string
+	for _, r := range results {
+		names = append(names, r.Name)
 	}
-	if len(results) != 3 {
-		t.Fatalf("got %d results, want 3", len(results))
+	want := []string{"BenchmarkBankMVM/64x64", "BenchmarkBankMVMReference/64x64", "BenchmarkBankProgram/16x16"}
+	if !slices.Equal(names, want) {
+		t.Fatalf("names %q, want first-run order %q", names, want)
 	}
 	mvm := results[0]
-	if mvm.Name != "BenchmarkBankMVM/64x64" {
-		t.Fatalf("name %q (CPU suffix must be stripped)", mvm.Name)
-	}
 	if mvm.Runs != 2 {
 		t.Errorf("runs = %d, want 2", mvm.Runs)
 	}
@@ -43,22 +51,28 @@ func TestParseAggregates(t *testing.T) {
 	if mvm.MVMsPerSec != 78000 {
 		t.Errorf("MVMs/sec = %v, want max 78000", mvm.MVMsPerSec)
 	}
+	if mvm.AllocsPerOp != 1 || mvm.BytesPerOp != 64 {
+		t.Errorf("mvm allocs=%v bytes=%v, want max 1/64 over a run with none", mvm.AllocsPerOp, mvm.BytesPerOp)
+	}
+	if ref := results[1]; ref.Runs != 1 || ref.NsPerOp != 457775 || ref.NsPerOpMean != 457775 {
+		t.Errorf("single run: %+v", ref)
+	}
 	prog := results[2]
-	if prog.AllocsPerOp != 2 || prog.BytesPerOp != 1024 {
-		t.Errorf("program allocs=%v bytes=%v, want 2/1024", prog.AllocsPerOp, prog.BytesPerOp)
+	if prog.AllocsPerOp != 2 || prog.BytesPerOp != 1024 || prog.MVMsPerSec != 0 {
+		t.Errorf("program allocs=%v bytes=%v MVMs/sec=%v, want 2/1024/0",
+			prog.AllocsPerOp, prog.BytesPerOp, prog.MVMsPerSec)
+	}
+	if got := Fold(nil); len(got) != 0 {
+		t.Errorf("Fold(nil) = %+v", got)
 	}
 }
 
 func TestApplyGate(t *testing.T) {
-	results, err := Parse(strings.NewReader(sample))
-	if err != nil {
+	rep := sampleReport(0)
+	if err := rep.ApplyGate(Gate{Fast: "BenchmarkBankMVM/64x64", Ref: "BenchmarkBankMVMReference/64x64", Required: 2}); err != nil {
 		t.Fatal(err)
 	}
-	rep := &Report{Schema: Schema, Results: results}
-	if err := rep.ApplyGate("BenchmarkBankMVM/64x64", "BenchmarkBankMVMReference/64x64", 2); err != nil {
-		t.Fatal(err)
-	}
-	if len(rep.Gates) != 1 || !rep.Gates[0].Passed {
+	if len(rep.Gates) != 1 || !rep.Gates[0].Passed || rep.Gates[0].Waived {
 		t.Errorf("gate failed: %+v", rep.Gates)
 	}
 	if want := 457775.0 / 12800.0; rep.Gates[0].Speedup != want {
@@ -67,10 +81,10 @@ func TestApplyGate(t *testing.T) {
 	if !rep.GatesPassed() {
 		t.Error("GatesPassed = false with one passing gate")
 	}
-	if err := rep.ApplyGate("BenchmarkMissing", "BenchmarkBankMVM/64x64", 2); err == nil {
+	if err := rep.ApplyGate(Gate{Fast: "BenchmarkMissing", Ref: "BenchmarkBankMVM/64x64", Required: 2}); err == nil {
 		t.Error("missing fast benchmark: want error")
 	}
-	if err := rep.ApplyGate("BenchmarkBankMVM/64x64", "BenchmarkMissing", 2); err == nil {
+	if err := rep.ApplyGate(Gate{Fast: "BenchmarkBankMVM/64x64", Ref: "BenchmarkMissing", Required: 2}); err == nil {
 		t.Error("missing ref benchmark: want error")
 	}
 	if len(rep.Gates) != 1 {
@@ -78,7 +92,7 @@ func TestApplyGate(t *testing.T) {
 	}
 	// An impossible requirement must record a failing second gate without
 	// disturbing the first.
-	if err := rep.ApplyGate("BenchmarkBankMVMReference/64x64", "BenchmarkBankMVM/64x64", 2); err != nil {
+	if err := rep.ApplyGate(Gate{Fast: "BenchmarkBankMVMReference/64x64", Ref: "BenchmarkBankMVM/64x64", Required: 2}); err != nil {
 		t.Fatal(err)
 	}
 	if len(rep.Gates) != 2 || rep.Gates[1].Passed {
@@ -92,15 +106,14 @@ func TestApplyGate(t *testing.T) {
 	}
 }
 
-func TestApplyParallelGate(t *testing.T) {
-	results, err := Parse(strings.NewReader(sample))
-	if err != nil {
-		t.Fatal(err)
-	}
+// TestApplyGateMinProcs pins the parallelism gates: below MinProcs the
+// gate is waived but still records its ratio, at or above it binds.
+func TestApplyGateMinProcs(t *testing.T) {
 	// The "parallel" benchmark here is slower than its reference, so the raw
 	// gate fails — exactly the situation on a single-CPU host.
-	rep := &Report{Schema: Schema, Results: results, MaxProcs: 1}
-	if err := rep.ApplyParallelGate("BenchmarkBankMVMReference/64x64", "BenchmarkBankMVM/64x64", 1.5, 1, 2); err != nil {
+	slow := Gate{Fast: "BenchmarkBankMVMReference/64x64", Ref: "BenchmarkBankMVM/64x64", Required: 1.5, MinProcs: 2}
+	rep := sampleReport(1)
+	if err := rep.ApplyGate(slow); err != nil {
 		t.Fatal(err)
 	}
 	g := rep.Gates[0]
@@ -117,36 +130,77 @@ func TestApplyParallelGate(t *testing.T) {
 		t.Error("GatesPassed = false with a waived gate")
 	}
 	// At or above min_procs the same numbers must fail for real.
-	rep2 := &Report{Schema: Schema, Results: results, MaxProcs: 8}
-	if err := rep2.ApplyParallelGate("BenchmarkBankMVMReference/64x64", "BenchmarkBankMVM/64x64", 1.5, 8, 2); err != nil {
+	rep2 := sampleReport(8)
+	if err := rep2.ApplyGate(slow); err != nil {
 		t.Fatal(err)
 	}
 	if g := rep2.Gates[0]; g.Waived || g.Passed {
 		t.Errorf("at min_procs the gate must bind: %+v", g)
 	}
 	// And a genuinely fast kernel passes without a waiver.
-	rep3 := &Report{Schema: Schema, Results: results, MaxProcs: 8}
-	if err := rep3.ApplyParallelGate("BenchmarkBankMVM/64x64", "BenchmarkBankMVMReference/64x64", 1.5, 8, 2); err != nil {
+	rep3 := sampleReport(8)
+	if err := rep3.ApplyGate(Gate{Fast: "BenchmarkBankMVM/64x64", Ref: "BenchmarkBankMVMReference/64x64", Required: 1.5, MinProcs: 2}); err != nil {
 		t.Fatal(err)
 	}
 	if g := rep3.Gates[0]; g.Waived || !g.Passed {
 		t.Errorf("fast kernel on a multi-core host: %+v", g)
 	}
-	if err := rep3.ApplyParallelGate("BenchmarkMissing", "BenchmarkBankMVM/64x64", 1.5, 8, 2); err == nil {
+	if err := rep3.ApplyGate(Gate{Fast: "BenchmarkMissing", Ref: "BenchmarkBankMVM/64x64", Required: 1.5, MinProcs: 2}); err == nil {
 		t.Error("missing benchmark: want error")
+	}
+	// MinProcs == 0 binds even on a report that records no CPU count.
+	rep4 := sampleReport(0)
+	slow.MinProcs = 0
+	if err := rep4.ApplyGate(slow); err != nil {
+		t.Fatal(err)
+	}
+	if g := rep4.Gates[0]; g.Waived || g.Passed {
+		t.Errorf("a gate without min_procs must bind: %+v", g)
+	}
+}
+
+// TestSuiteMatchesTrajectory pins the suite to the committed trajectory:
+// the same case names in the same order, and the same gates with the same
+// bounds and CPU minimums, so a renamed, reordered or dropped case or a
+// loosened gate shows up here rather than as a silently shifted trajectory.
+func TestSuiteMatchesTrajectory(t *testing.T) {
+	rep, err := ReadFile("../../BENCH_PR10.json")
+	if err != nil {
+		t.Fatal(err)
+	}
+	var got, want []string
+	for _, c := range Suite {
+		got = append(got, c.Name)
+	}
+	for _, r := range rep.Results {
+		want = append(want, r.Name)
+	}
+	if !slices.Equal(got, want) {
+		t.Errorf("suite cases\n%q\ntrajectory results\n%q", got, want)
+	}
+	spec := func(g Gate) Gate {
+		return Gate{Fast: g.Fast, Ref: g.Ref, Required: g.Required, MinProcs: g.MinProcs}
+	}
+	if len(Gates) != len(rep.Gates) {
+		t.Fatalf("%d gates, trajectory has %d", len(Gates), len(rep.Gates))
+	}
+	for i, g := range Gates {
+		if g != spec(g) {
+			t.Errorf("gate table entry %d carries a measurement: %+v", i, g)
+		}
+		if spec(rep.Gates[i]) != g {
+			t.Errorf("gate %d = %+v, trajectory has %+v", i, g, spec(rep.Gates[i]))
+		}
 	}
 }
 
 func TestWriteReadRoundTrip(t *testing.T) {
-	results, err := Parse(strings.NewReader(sample))
-	if err != nil {
+	rep := sampleReport(2)
+	rep.GoVersion = "go1.22"
+	if err := rep.ApplyGate(Gate{Fast: "BenchmarkBankMVM/64x64", Ref: "BenchmarkBankMVMReference/64x64", Required: 2}); err != nil {
 		t.Fatal(err)
 	}
-	rep := &Report{Schema: Schema, GoVersion: "go1.22", Results: results}
-	if err := rep.ApplyGate("BenchmarkBankMVM/64x64", "BenchmarkBankMVMReference/64x64", 2); err != nil {
-		t.Fatal(err)
-	}
-	if err := rep.ApplyGate("BenchmarkBankMVM/64x64", "BenchmarkBankProgram/16x16", 1.5); err != nil {
+	if err := rep.ApplyGate(Gate{Fast: "BenchmarkBankMVM/64x64", Ref: "BenchmarkBankProgram/16x16", Required: 1.5, MinProcs: 4}); err != nil {
 		t.Fatal(err)
 	}
 	path := filepath.Join(t.TempDir(), "bench.json")
@@ -160,9 +214,8 @@ func TestWriteReadRoundTrip(t *testing.T) {
 	if back.Schema != Schema || len(back.Results) != len(rep.Results) {
 		t.Fatalf("round trip mismatch: %+v", back)
 	}
-	if len(back.Gates) != 2 || back.Gates[0].Speedup != rep.Gates[0].Speedup ||
-		back.Gates[1].Speedup != rep.Gates[1].Speedup {
-		t.Errorf("gates did not survive round trip: %+v", back.Gates)
+	if !slices.Equal(back.Gates, rep.Gates) || !slices.Equal(back.Results, rep.Results) {
+		t.Errorf("report did not survive round trip: %+v", back)
 	}
 }
 
@@ -195,34 +248,6 @@ func TestReadFileRejectsBadJSON(t *testing.T) {
 	}
 }
 
-// TestParseMalformedLines pins Parse's tolerance contract: short and
-// non-benchmark lines are skipped (the raw `go test` stream contains
-// them), but a benchmark line with an unparseable measurement is a hard
-// error — silently dropping it would un-gate the build.
-func TestParseMalformedLines(t *testing.T) {
-	tolerated := `goos: linux
-BenchmarkShort-8
-BenchmarkNoIter-8	notanumber	100 ns/op
---- BENCH: BenchmarkVerbose-8
-BenchmarkReal-8	100	250 ns/op
-PASS
-`
-	results, err := Parse(strings.NewReader(tolerated))
-	if err != nil {
-		t.Fatal(err)
-	}
-	if len(results) != 1 || results[0].Name != "BenchmarkReal" {
-		t.Fatalf("want only BenchmarkReal to survive, got %+v", results)
-	}
-	if _, err := Parse(strings.NewReader("BenchmarkBad-8\t100\tabc ns/op\n")); err == nil {
-		t.Error("unparseable measurement must be a hard error")
-	}
-	results, err = Parse(strings.NewReader("no benchmarks here\n"))
-	if err != nil || len(results) != 0 {
-		t.Errorf("benchmark-free stream: got %v, %v", results, err)
-	}
-}
-
 // TestGateBoundaries pins the two gate comparisons exactly at their
 // thresholds: a measured speedup equal to the requirement passes (the
 // gate is ≥, not >), and a host with exactly MinProcs CPUs binds the
@@ -232,23 +257,23 @@ func TestGateBoundaries(t *testing.T) {
 		{Name: "fast", NsPerOp: 100},
 		{Name: "ref", NsPerOp: 150},
 	}}
-	if err := rep.ApplyGate("fast", "ref", 1.5); err != nil {
+	if err := rep.ApplyGate(Gate{Fast: "fast", Ref: "ref", Required: 1.5}); err != nil {
 		t.Fatal(err)
 	}
 	if g := rep.Gates[0]; g.Speedup != 1.5 || !g.Passed {
 		t.Errorf("speedup exactly at the requirement must pass: %+v", g)
 	}
 
-	// procs == minProcs is the smallest host the gate binds on.
+	// MaxProcs == MinProcs is the smallest host the gate binds on.
 	bind := &Report{Schema: Schema, Results: rep.Results, MaxProcs: 2}
-	if err := bind.ApplyParallelGate("ref", "fast", 1.5, 2, 2); err != nil {
+	if err := bind.ApplyGate(Gate{Fast: "ref", Ref: "fast", Required: 1.5, MinProcs: 2}); err != nil {
 		t.Fatal(err)
 	}
 	if g := bind.Gates[0]; g.Waived || g.Passed {
 		t.Errorf("at exactly min_procs the gate must bind and this ratio must fail: %+v", g)
 	}
 	waive := &Report{Schema: Schema, Results: rep.Results, MaxProcs: 1}
-	if err := waive.ApplyParallelGate("ref", "fast", 1.5, 1, 2); err != nil {
+	if err := waive.ApplyGate(Gate{Fast: "ref", Ref: "fast", Required: 1.5, MinProcs: 2}); err != nil {
 		t.Fatal(err)
 	}
 	if g := waive.Gates[0]; !g.Waived || !g.Passed {

@@ -2,6 +2,7 @@ package core
 
 import (
 	"math/rand"
+	"slices"
 	"testing"
 )
 
@@ -49,52 +50,60 @@ func directWTDelta(w [][]float64, delta []float64, in int) []float64 {
 	return out
 }
 
-// TestTrainBatchOfOneBitIdenticalToTrainSample: a TrainBatch of one sample
-// must be the SAME training step as TrainSample — identical loss, identical
-// noise draws, identical weight trajectory and identical energy/time
-// bookings — with the full analog noise model on. The batched kernels
-// degrade to exactly the per-sample call sequence and the 1/B gradient
-// scale is skipped at B = 1, so a whole epoch stays bitwise in lockstep.
-func TestTrainBatchOfOneBitIdenticalToTrainSample(t *testing.T) {
-	single, batched := twinNetworks(t)
-	rng := rand.New(rand.NewSource(1234))
-	x := make([]float64, 12)
-	for s := 0; s < 12; s++ {
+// TestSingleSampleCallsRejectWrongLength pins what Forward, Predict and
+// TrainSample add over the batch paths they delegate to: the batch paths
+// accept any slab at least batch×size long, but a single-sample call must
+// carry exactly one input vector. Short, long, doubled and empty inputs
+// must error and leave the weights and the energy ledger untouched.
+func TestSingleSampleCallsRejectWrongLength(t *testing.T) {
+	net, _ := twinNetworks(t)
+	g := net.Graph
+	size := g.InputSize()
+	calls := map[string]func(x []float64) error{
+		"Forward": func(x []float64) error {
+			_, err := g.Forward(x)
+			return err
+		},
+		"Predict": func(x []float64) error {
+			_, err := g.Predict(x)
+			return err
+		},
+		"TrainSample": func(x []float64) error {
+			_, err := g.TrainSample(x, 1)
+			return err
+		},
+	}
+	weights, ledger := flattenAllWeights(g), g.Ledger()
+	for _, n := range []int{size - 1, size + 1, 2 * size, 0} {
+		x := make([]float64, n)
 		for i := range x {
-			x[i] = rng.Float64()*2 - 1
+			x[i] = 0.5
 		}
-		lossS, err := single.TrainSample(x, s%3)
-		if err != nil {
-			t.Fatal(err)
-		}
-		lossB, err := batched.TrainBatch(x, []int{s % 3})
-		if err != nil {
-			t.Fatal(err)
-		}
-		if lossS != lossB {
-			t.Fatalf("step %d: TrainSample loss %v, TrainBatch(1) loss %v", s, lossS, lossB)
+		for name, call := range calls {
+			if err := call(x); err == nil {
+				t.Errorf("%s accepted a %d-element input (want %d)", name, n, size)
+			}
 		}
 	}
-	ws, wb := flattenAllWeights(single.Graph), flattenAllWeights(batched.Graph)
-	for i := range ws {
-		if ws[i] != wb[i] {
-			t.Fatalf("weight[%d]: TrainSample %v, TrainBatch(1) %v", i, ws[i], wb[i])
+	after := flattenAllWeights(g)
+	for i := range weights {
+		if after[i] != weights[i] {
+			t.Fatalf("weight[%d] changed by a rejected call: %v -> %v", i, weights[i], after[i])
 		}
 	}
-	outS, err := single.Forward(x)
-	if err != nil {
-		t.Fatal(err)
-	}
-	outB, err := batched.Forward(x)
-	if err != nil {
-		t.Fatal(err)
-	}
-	for i := range outS {
-		if outS[i] != outB[i] {
-			t.Fatalf("forward[%d]: %v vs %v", i, outS[i], outB[i])
+	requireSameLedger(t, ledger, g.Ledger())
+
+	// The exact length is accepted, and a training step does move the
+	// weights: the comparison above can see a change.
+	x := make([]float64, size)
+	for name, call := range calls {
+		if err := call(x); err != nil {
+			t.Errorf("%s rejected a %d-element input: %v", name, size, err)
 		}
 	}
-	requireSameLedger(t, single.Ledger(), batched.Ledger())
+	if after := flattenAllWeights(g); slices.Equal(after, weights) {
+		t.Error("TrainSample left every weight unchanged")
+	}
 }
 
 // TestTrainBatchDeterministicAcrossWorkers: a batched training schedule on

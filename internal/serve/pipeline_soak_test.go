@@ -6,6 +6,7 @@ import (
 	"math/rand"
 	"net/http"
 	"net/http/httptest"
+	"runtime"
 	"strconv"
 	"strings"
 	"sync"
@@ -75,6 +76,7 @@ func TestServeSoakPipelined(t *testing.T) {
 		maintenance = 3
 	)
 	net := buildServeNet(t)
+	goroutines := runtime.NumGoroutine()
 	mcfg := MaintainerConfig{Seed: 21, Policy: servePolicy()}
 	inst, err := NewGraphInstance("pipe/replica-0", net.Graph, Config{
 		MaxBatch: 8, MaxWait: time.Millisecond, QueueCap: 64,
@@ -166,6 +168,7 @@ func TestServeSoakPipelined(t *testing.T) {
 	if err := inst.Shutdown(sctx); err != nil {
 		t.Fatalf("graceful shutdown: %v", err)
 	}
+	requireNoGoroutineLeak(t, goroutines)
 
 	if m.Checks() < 2 {
 		t.Fatalf("only %d maintenance windows ran, want >= 2", m.Checks())

@@ -5,6 +5,7 @@ import (
 	"errors"
 	"fmt"
 	"math/rand"
+	"runtime"
 	"sync"
 	"sync/atomic"
 	"testing"
@@ -71,9 +72,12 @@ func TestRouterSoak(t *testing.T) {
 	}
 	var fleet []replica
 	bases := map[string]*core.Network{}
+	for _, spec := range specs {
+		bases[spec.name] = buildSoakNet(t, spec.in, spec.hidden, spec.classes)
+	}
+	goroutines := runtime.NumGoroutine()
 	for si, spec := range specs {
-		base := buildSoakNet(t, spec.in, spec.hidden, spec.classes)
-		bases[spec.name] = base
+		base := bases[spec.name]
 
 		// Pre-chaos bit-identity: every replica must classify exactly like
 		// a single-instance reference graph built from the same snapshot.
@@ -272,6 +276,7 @@ func TestRouterSoak(t *testing.T) {
 	if err := rt.Shutdown(sctx); err != nil {
 		t.Fatalf("router shutdown: %v", err)
 	}
+	requireNoGoroutineLeak(t, goroutines)
 
 	// Invariant 1: zero lost requests at both ledgers.
 	if unclassified.Load() != 0 {

@@ -4,6 +4,7 @@ import (
 	"context"
 	"errors"
 	"math/rand"
+	"runtime"
 	"sync"
 	"sync/atomic"
 	"testing"
@@ -25,7 +26,8 @@ import (
 //     every served class exactly, proving no MVM ever raced a bank
 //     mutation.
 //  3. Graceful shutdown — after the clients finish, Shutdown drains every
-//     queued request without dropping any.
+//     queued request without dropping any and stops every goroutine the
+//     server started.
 func TestServeSoak(t *testing.T) {
 	const (
 		clients     = 10
@@ -33,6 +35,7 @@ func TestServeSoak(t *testing.T) {
 		maintenance = 3
 	)
 	net := buildServeNet(t)
+	goroutines := runtime.NumGoroutine()
 	j := NewJournal()
 	b := NewBatcher(net.Graph, Config{
 		MaxBatch: 8, MaxWait: time.Millisecond, QueueCap: 64,
@@ -125,6 +128,7 @@ func TestServeSoak(t *testing.T) {
 	if err := b.Shutdown(sctx); err != nil {
 		t.Fatalf("graceful shutdown: %v", err)
 	}
+	requireNoGoroutineLeak(t, goroutines)
 
 	if m.Checks() < 2 {
 		t.Fatalf("only %d maintenance windows ran, want >= 2", m.Checks())
@@ -197,4 +201,22 @@ func TestServeSoak(t *testing.T) {
 	t.Logf("soak: %d submitted = %d served + %d rejected + %d deadline; %d batches, %d chaos mutations, %d maintenance windows, p99 %.2fms",
 		totalSubmitted.Load(), results.Load(), rejections.Load(), deadlineErrs.Load(),
 		batches, j.CountKind(OpDrift)+j.CountKind(OpFaults), j.CountKind(OpCheck), sn.P99Ms)
+}
+
+// requireNoGoroutineLeak polls for up to 2 s until the goroutine count is
+// back at or below baseline, the count taken once the test's graphs were
+// built and before any server goroutine started, and fails the test with a
+// dump of every live goroutine if it never gets there. No serve test runs
+// in parallel, so the count belongs to the calling test alone.
+func requireNoGoroutineLeak(t *testing.T, baseline int) {
+	t.Helper()
+	deadline := time.Now().Add(2 * time.Second)
+	for n := runtime.NumGoroutine(); n > baseline; n = runtime.NumGoroutine() {
+		if time.Now().After(deadline) {
+			buf := make([]byte, 1<<20)
+			buf = buf[:runtime.Stack(buf, true)]
+			t.Fatalf("%d goroutines 2s after shutdown, %d before the server started:\n%s", n, baseline, buf)
+		}
+		time.Sleep(10 * time.Millisecond)
+	}
 }
