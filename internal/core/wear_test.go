@@ -4,13 +4,11 @@ import (
 	"math"
 	"math/rand"
 	"testing"
-
-	"trident/internal/mrr"
 )
 
 // setEndurance overrides one physical cell's switching-endurance budget.
 func setEndurance(pe *PE, row, col int, cycles float64) {
-	pe.Bank().PhysicalTuner(row, col).(*mrr.PCMTuner).Cell().SetEnduranceLimit(cycles)
+	pe.Bank().SetPhysicalEnduranceLimit(row, col, cycles)
 }
 
 // TestWearExhaustionSurfacesAsFaultNotError: when a cell's endurance runs

@@ -69,6 +69,12 @@ type WeightBank struct {
 	// concurrently under pfor — the bank itself stays single-writer.
 	pfor         ParallelFor
 	rowsCompiled atomic.Uint64
+
+	// wearGen counts changes to any cell's write count or endurance
+	// budget (see WearGen). It is deliberately not the epoch: drift and
+	// masking change what an MVM sees but not wear, and a budget change
+	// moves wear but nothing an MVM sees.
+	wearGen uint64
 }
 
 // ParallelFor runs fn(i) for every i in [0, n) and returns only after all n
@@ -257,6 +263,30 @@ func (b *WeightBank) invalidateRow(pr int) {
 // fault pin re-applied at its current value — leave the epoch (and therefore
 // the compiled snapshot) untouched.
 func (b *WeightBank) Epoch() uint64 { return b.epoch }
+
+// WearGen returns the bank's wear generation: a counter bumped by every
+// landed write pulse (Program, Refresh) and every endurance-budget change
+// (SetPhysicalEnduranceLimit), the only events that move a cell's write
+// count or budget. Callers that summarize wear — the serving health probe —
+// may reuse a summary for as long as the generation has not moved. Elided
+// pulses, pulses refused on exhausted endurance, drift, masking, rotation
+// and weight overrides leave it untouched.
+func (b *WeightBank) WearGen() uint64 { return b.wearGen }
+
+// SetPhysicalEnduranceLimit overrides the switching-endurance budget of the
+// GST cell at physical (row, col) and bumps the wear generation. It returns
+// false, changing nothing, when that ring is not PCM-tuned. This is the one
+// sanctioned way to assign budgets: writing through PCMTuner.Cell would
+// leave WearGen, and every summary keyed on it, stale.
+func (b *WeightBank) SetPhysicalEnduranceLimit(row, col int, cycles float64) bool {
+	t, ok := b.tuners[row][col].(*PCMTuner)
+	if !ok {
+		return false
+	}
+	t.cell.SetEnduranceLimit(cycles)
+	b.wearGen++
+	return true
+}
 
 // DirtyRowCount reports how many physical rows are marked stale for the next
 // incremental recompile; a whole-bank invalidation pending reports the full
@@ -448,6 +478,7 @@ func (b *WeightBank) Program(w [][]float64, now units.Duration) (ProgramResult, 
 			// the target level, and a skipped pulse cannot undo drift — the
 			// displaced readout stays until Refresh or a real write.
 			if t.Writes() != before {
+				b.wearGen++
 				b.weights[pr][n] = actual
 				if !rowWritten {
 					rowWritten = true
@@ -517,6 +548,7 @@ func (b *WeightBank) Refresh(now units.Duration) ProgramResult {
 				// modeling bug surfaced loudly.
 				panic(fmt.Sprintf("mrr: refresh (%d,%d): %v", pr, n, err))
 			}
+			b.wearGen++
 			b.weights[pr][n] = t.Weight()
 			if !rowWritten {
 				rowWritten = true

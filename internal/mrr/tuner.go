@@ -215,7 +215,11 @@ func (t *PCMTuner) Bits() int { return device.GSTBits }
 // Volatile implements Tuner.
 func (t *PCMTuner) Volatile() bool { return false }
 
-// Cell exposes the underlying GST cell for endurance inspection.
+// Cell exposes the underlying GST cell for endurance inspection. It is
+// read-only by contract: mutating the cell through it (a write, a rewrite,
+// a new endurance budget) bypasses the owning bank's WearGen, so wear
+// summaries keyed on it would go stale. Set budgets with
+// WeightBank.SetPhysicalEnduranceLimit and program through the bank.
 func (t *PCMTuner) Cell() *pcm.Cell { return t.cell }
 
 // Set implements Tuner. The quantized weight maps linearly onto the cell's

@@ -252,7 +252,8 @@ func (c *Cell) RemainingEndurance() float64 {
 func (c *Cell) EnduranceLimit() float64 { return c.endurance }
 
 // SetEnduranceLimit overrides the cell's endurance budget — the hook the
-// reliability engine uses to assign Weibull-sampled per-cell lifetimes.
+// reliability engine uses, through the owning weight bank, to assign
+// Weibull-sampled per-cell lifetimes.
 // Non-positive budgets are clamped to zero (an already-dead cell).
 func (c *Cell) SetEnduranceLimit(cycles float64) {
 	if cycles < 0 || math.IsNaN(cycles) {

@@ -83,9 +83,10 @@ type WearStats struct {
 
 // WearSummary walks the network's PCM weight cells and reports their
 // cumulative endurance draw-down. It only reads bookkeeping counters
-// (lifetime writes, endurance budget), so it is cheap enough to run inside
-// a serving health probe; like every bank read it must not race a
-// mutation, so callers hold the execute token.
+// (lifetime writes, endurance budget), but it reads every cell, so the
+// serving health probe reuses its last result until a bank's WearGen
+// moves; like every bank read it must not race a mutation, so callers
+// hold the execute token.
 func WearSummary(net *core.Graph) WearStats {
 	var st WearStats
 	var sum float64
@@ -136,11 +137,10 @@ func AttachWear(net *core.Graph, cfg WearConfig) (int, error) {
 		bank := pe.Bank()
 		for r := 0; r < bank.Rows(); r++ {
 			for c := 0; c < bank.Cols(); c++ {
-				t, ok := bank.PhysicalTuner(r, c).(*mrr.PCMTuner)
-				if !ok {
+				if _, ok := bank.PhysicalTuner(r, c).(*mrr.PCMTuner); !ok {
 					continue
 				}
-				t.Cell().SetEnduranceLimit(sampleWeibull(rng, cfg.MeanEndurance, cfg.Shape))
+				bank.SetPhysicalEnduranceLimit(r, c, sampleWeibull(rng, cfg.MeanEndurance, cfg.Shape))
 				cells++
 			}
 		}

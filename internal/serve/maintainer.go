@@ -16,8 +16,27 @@ import (
 // GraphHealth captures a degradation/energy snapshot from g. It reads the
 // ledger and fault counters, so it must only run while the execute token
 // is held — pass it as Config.Probe and the batcher guarantees that.
+//
+// The wear fields come from reliability.WearSummary, a scan of every GST
+// cell, but the probe runs after every served batch and serving never
+// moves wear. So the returned probe keeps the last summary together with
+// the sum of every bank's WearGen and rescans only when that sum moves:
+// each generation only grows, so an equal sum means no bank's write counts
+// or budgets changed and the kept summary is exactly what a rescan would
+// return. While wear is unchanged the probe costs O(PEs) plus the ledger
+// merge.
 func GraphHealth(g *core.Graph) func() Health {
+	var (
+		wear    reliability.WearStats
+		wearGen uint64
+		scanned bool
+	)
 	return func() Health {
+		var gen uint64
+		g.ForEachPE(func(_, _, _ int, pe *core.PE) { gen += pe.Bank().WearGen() })
+		if !scanned || gen != wearGen {
+			wear, wearGen, scanned = reliability.WearSummary(g), gen, true
+		}
 		led := g.Ledger()
 		breakdown := led.Breakdown()
 		energy := make(map[string]float64, len(breakdown))
@@ -26,7 +45,6 @@ func GraphHealth(g *core.Graph) func() Health {
 		}
 		faults := g.FaultCount()
 		masked := g.MaskedRowCount()
-		wear := reliability.WearSummary(g)
 		return Health{
 			Degraded:     faults > 0 || masked > 0,
 			Faults:       faults,

@@ -19,11 +19,13 @@ import (
 )
 
 // fakeEngine is a configurable Engine: class = first feature of each
-// sample, optional service delay, optional injected failure, and tracking
-// of concurrent entry so tests can prove the execute token serializes.
+// sample, optional service delay, optional gate each call waits on after
+// it is counted, optional injected failure, and tracking of concurrent
+// entry so tests can prove the execute token serializes.
 type fakeEngine struct {
 	width       int
 	delay       time.Duration
+	block       chan struct{}
 	fail        error
 	calls       atomic.Int32
 	inFlight    atomic.Int32
@@ -42,6 +44,13 @@ func (f *fakeEngine) PredictBatchCtx(ctx context.Context, dst []int, xs []float6
 		}
 	}
 	f.calls.Add(1)
+	if f.block != nil {
+		select {
+		case <-f.block:
+		case <-ctx.Done():
+			return nil, ctx.Err()
+		}
+	}
 	if f.delay > 0 {
 		select {
 		case <-time.After(f.delay):
@@ -115,29 +124,31 @@ func TestSubmitRejectsBadInput(t *testing.T) {
 }
 
 func TestQueueFullBackpressure(t *testing.T) {
-	eng := &fakeEngine{width: 1}
+	eng := &fakeEngine{width: 1, block: make(chan struct{})}
 	b := NewBatcher(eng, Config{MaxBatch: 1, MaxWait: 100 * time.Microsecond, QueueCap: 2})
 	defer mustShutdown(t, b)
-	release, err := b.Acquire(context.Background())
-	if err != nil {
-		t.Fatal(err)
-	}
 	var wg sync.WaitGroup
-	for i := 0; i < 3; i++ { // one dequeued and gate-blocked, two queued
+	submit := func(i int) {
 		wg.Add(1)
-		go func(i int) {
+		go func() {
 			defer wg.Done()
 			if _, err := b.Submit(context.Background(), []float64{float64(i)}); err != nil {
 				t.Errorf("queued request %d: %v", i, err)
 			}
-		}(i)
+		}()
 	}
+	// The first request must be out of the queue before the others arrive,
+	// or the third could find it full. Entering the engine proves it was
+	// dequeued; QueueDepth()==0 alone also holds before it was enqueued.
+	submit(0)
+	waitFor(t, func() bool { return eng.calls.Load() == 1 })
+	submit(1)
+	submit(2)
 	waitFor(t, func() bool { return b.QueueDepth() == 2 })
-	time.Sleep(5 * time.Millisecond) // let the dispatcher park on the gate
 	if _, err := b.Submit(context.Background(), []float64{9}); !errors.Is(err, ErrQueueFull) {
 		t.Fatalf("got %v, want ErrQueueFull", err)
 	}
-	release()
+	close(eng.block)
 	wg.Wait()
 	sn := b.Stats()
 	if sn.RejectedQueueFull != 1 || sn.Served != 3 || sn.Lost() != 0 {
@@ -336,6 +347,9 @@ func TestHTTPPredictAndOps(t *testing.T) {
 	}
 	if resp, body := post(`{"input":[2,0,0],"deadline_ms":0.001}`); resp.StatusCode != http.StatusGatewayTimeout {
 		t.Fatalf("hopeless deadline: status %d body %s", resp.StatusCode, body)
+	}
+	if resp, body := post(`{"input":[2,0,0],"deadline_ms":1e300}`); resp.StatusCode != http.StatusOK {
+		t.Fatalf("huge deadline (clamped to the maximum): status %d body %s", resp.StatusCode, body)
 	}
 
 	for _, ep := range []string{"/healthz", "/readyz"} {

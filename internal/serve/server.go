@@ -6,6 +6,7 @@ import (
 	"errors"
 	"math"
 	"mime"
+	"net"
 	"net/http"
 	"strings"
 	"time"
@@ -64,6 +65,8 @@ type PredictRequest struct {
 	Input []float64 `json:"input"`
 	// DeadlineMs, when positive, bounds the end-to-end budget; the server
 	// derives a context deadline and admission control enforces it.
+	// Budgets above maxPredictDeadline are clamped to it: the connection's
+	// write timeout would cut the reply off before a longer one ran out.
 	DeadlineMs float64 `json:"deadline_ms,omitempty"`
 }
 
@@ -134,8 +137,12 @@ func (s *Server) handlePredict(w http.ResponseWriter, r *http.Request) {
 	}
 	ctx := r.Context()
 	if req.DeadlineMs > 0 {
+		budget := maxPredictDeadline
+		if req.DeadlineMs < float64(maxPredictDeadline.Milliseconds()) {
+			budget = time.Duration(req.DeadlineMs * float64(time.Millisecond))
+		}
 		var cancel context.CancelFunc
-		ctx, cancel = context.WithTimeout(ctx, time.Duration(req.DeadlineMs*float64(time.Millisecond)))
+		ctx, cancel = context.WithTimeout(ctx, budget)
 		defer cancel()
 	}
 	class, err := s.rt.Submit(ctx, model, req.Input)
@@ -287,6 +294,23 @@ func (s *Server) handleStats(w http.ResponseWriter, _ *http.Request) {
 	writeJSON(w, http.StatusOK, s.rt.Snapshot())
 }
 
+// Connection limits for ListenAndServe, so a slow or stalled client cannot
+// hold a connection, and its goroutine, indefinitely.
+const (
+	// maxPredictDeadline is the largest end-to-end budget a /predict
+	// request can carry; larger deadline_ms values are clamped to it.
+	maxPredictDeadline = 30 * time.Second
+	// readHeaderTimeout bounds reading the request line and headers.
+	readHeaderTimeout = 5 * time.Second
+	// idleTimeout bounds how long a keep-alive connection waits for its
+	// next request.
+	idleTimeout = 60 * time.Second
+)
+
+// readTimeout bounds reading the whole request, the ≤1 MiB body included.
+// It is a variable only so the slow-client test can shorten it.
+var readTimeout = 15 * time.Second
+
 // ListenAndServe runs the HTTP server until ctx cancels (SIGINT/SIGTERM
 // via signal.NotifyContext), then drains: the listener stops accepting,
 // in-flight connections finish within grace, and every replica's batcher
@@ -294,12 +318,33 @@ func (s *Server) handleStats(w http.ResponseWriter, _ *http.Request) {
 // next node checkpoint. Every admitted request still gets exactly one
 // outcome.
 func (s *Server) ListenAndServe(ctx context.Context, addr string, grace time.Duration) error {
-	srv := &http.Server{Addr: addr, Handler: s.mux, ReadHeaderTimeout: 5 * time.Second}
+	if addr == "" {
+		addr = ":http" // as http.Server.ListenAndServe
+	}
+	ln, err := net.Listen("tcp", addr)
+	if err != nil {
+		return err
+	}
+	return s.serve(ctx, ln, grace)
+}
+
+// serve is ListenAndServe on an open listener, which it closes.
+func (s *Server) serve(ctx context.Context, ln net.Listener, grace time.Duration) error {
+	srv := &http.Server{
+		Handler:           s.mux,
+		ReadHeaderTimeout: readHeaderTimeout,
+		ReadTimeout:       readTimeout,
+		// net/http starts the write clock once the headers are read, so it
+		// must cover the body read, the longest deadline a request can
+		// carry and the reply itself.
+		WriteTimeout: readTimeout + maxPredictDeadline + 5*time.Second,
+		IdleTimeout:  idleTimeout,
+	}
 	errc := make(chan error, 1)
-	go func() { errc <- srv.ListenAndServe() }()
+	go func() { errc <- srv.Serve(ln) }()
 	select {
 	case err := <-errc:
-		return err // listener failed to start
+		return err // the listener failed
 	case <-ctx.Done():
 	}
 	graceCtx, cancel := context.WithTimeout(context.Background(), grace)
